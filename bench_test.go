@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md's experiment index), plus ablations of the design choices
+// (the internal/experiments runners), plus ablations of the design choices
 // the implementation makes. The figures-of-merit are reported as custom
 // metrics (rates, fractions) alongside the usual time/op; wall-clock here
 // measures simulation throughput, since all experiments run in virtual
@@ -125,7 +125,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.ReportMetric(frac, "bursts-reordered-frac")
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 // runSCT measures sample efficiency of the single connection test variant
 // against a delayed-ACK-heavy stack.
@@ -157,7 +157,7 @@ func BenchmarkAblationSCTSendOrder(b *testing.B) {
 
 // BenchmarkAblationValidationProbes measures the IPID prevalidation
 // false-accept rate on random-IPID hosts as the probe count varies — the
-// window-size trade-off DESIGN.md calls out.
+// trade-off between validation cost and false accepts.
 func BenchmarkAblationValidationProbes(b *testing.B) {
 	for _, probes := range []int{4, 8, 16} {
 		b.Run(byteCount(probes), func(b *testing.B) {

@@ -52,7 +52,14 @@ type Config struct {
 	Workers int
 	// Retries is the number of additional attempts for a failed target.
 	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt.
+	// Backoff is the delay before a failed target's first retry, doubling
+	// per attempt. It spares the target, not the pool: the target waits out
+	// its backoff parked while the workers probe other targets, so a retry
+	// no longer stalls the campaign. Under the adaptive window, dispatch may
+	// run up to 8192 targets past a waiting target while it waits; their
+	// rendered records (about 430 bytes each for catalog targets, so at most
+	// ~3.5 MB) are held until the waiting target's result is emitted in
+	// order. A nonzero Window caps this at Window targets instead.
 	Backoff time.Duration
 	// RatePerSec caps probe launches per wall-clock second via a token
 	// bucket (0 = unlimited).
@@ -60,11 +67,12 @@ type Config struct {
 	// Burst is the token-bucket capacity (default Workers).
 	Burst int
 	// Window bounds how far dispatch may run ahead of the in-order emit
-	// frontier: it caps the re-sequencing buffer when one slow target
-	// holds the frontier, trading sink latency for memory. Zero selects
-	// the scheduler's adaptive window, which tracks the observed
-	// completion spread up to the old static default (max(4×Workers, 64))
-	// — see SchedulerConfig.Window.
+	// frontier: it caps the re-sequencing buffer when one slow or retrying
+	// target holds the frontier, trading sink latency for memory. Zero
+	// selects the scheduler's adaptive window, which tracks the observed
+	// completion spread up to max(4×Workers, 64), and opens to 8192 while a
+	// retry waits out its backoff (see Backoff and SchedulerConfig.Window).
+	// A nonzero Window is a hard bound that never widens.
 	Window int
 	// Batch is the dispatch span size: workers claim contiguous runs of
 	// this many targets at a time and results flush to the sinks in
@@ -189,28 +197,38 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	em.StartRun(sched.Workers())
 
-	// The batch pipeline: a worker claims a span, checks a spanBatch out
-	// of the pool, renders each result into the batch's JSONL/CSV buffers
-	// as it completes, and the in-order collector flushes whole batches
-	// with one Write per sink. Memory is bounded by the dispatch window —
-	// at most MaxWindow results are ever probed-but-unemitted — so a
-	// million-target campaign holds the same few batches in flight as a
-	// thousand-target one.
-	pipe := &batchPipeline{batches: make(map[int]*spanBatch)}
+	// The batch pipeline: a worker attaches to a span, finding the span's
+	// spanBatch (or checking a fresh one out of the pool), renders each
+	// result into the batch's JSONL/CSV buffers as it completes, and the
+	// in-order collector flushes whole batches with one Write per sink.
+	// Memory is bounded by the dispatch window — at most MaxWindow results
+	// are ever probed-but-unemitted — so a million-target campaign holds
+	// the same few batches in flight as a thousand-target one. Only extra
+	// Sinks read decoded results after render; without them each worker
+	// probes into one scratch result and batches carry bytes alone.
+	keepResults := len(cfg.Sinks) > 0
+	pipe := &batchPipeline{
+		batches: make(map[int]*spanBatch),
+		// Enough to refill a steady window plus what the workers hold;
+		// batches a retry-widened window needed beyond that are dropped.
+		maxFree: sched.steadyWindow/sched.spanSizeFor(end-start) + 2*sched.Workers(),
+	}
 
 	err = sched.RunSpans(start, end,
 		func(worker, lo, hi int) {
-			b := pipe.get(hi - lo)
-			b.lo, b.hi = lo, hi
+			b, fresh := pipe.attach(lo, hi, keepResults)
 			workers[worker].batch = b
-			workers[worker].spanSimNs = 0
-			pipe.publish(b)
-			cfg.Trace.SpanClaim(worker, lo, hi)
+			if fresh {
+				cfg.Trace.SpanClaim(worker, lo, hi)
+			}
 		},
 		func(worker, index, attempt int) error {
 			w := &workers[worker]
 			b := w.batch
-			res := &b.results[index-b.lo]
+			res := &w.result
+			if keepResults {
+				res = &b.results[index-b.lo]
+			}
 			var probeStart time.Time
 			if w.obs != nil {
 				w.obs.Attempts.Inc()
@@ -219,7 +237,7 @@ func Run(cfg Config) (*Summary, error) {
 			w.arena.ProbeTargetInto(res, cfg.Targets[index], cfg.Samples, attempt)
 			if w.obs != nil {
 				w.obs.ProbeNanos.Observe(time.Since(probeStart).Nanoseconds())
-				w.spanSimNs += w.arena.LastSimNanos()
+				b.simNs += w.arena.LastSimNanos()
 			}
 			if res.Err != "" && attempt < cfg.Retries {
 				cfg.Trace.Retry(worker, index, attempt,
@@ -245,7 +263,7 @@ func Run(cfg Config) (*Summary, error) {
 				w.obs.RenderedCSVBytes.Add(uint64(len(b.csv) - c0))
 			}
 			if index == b.hi-1 {
-				cfg.Trace.SpanDone(worker, b.lo, b.hi, w.spanSimNs, int64(len(b.json)+len(b.csv)))
+				cfg.Trace.SpanDone(worker, b.lo, b.hi, b.simNs, int64(len(b.json)+len(b.csv)))
 			}
 			return nil
 		},
@@ -286,56 +304,67 @@ type campaignWorker struct {
 	arena  *ProbeArena
 	csvEnc *CSVRowEncoder
 	batch  *spanBatch
+	// result is the probe scratch when no extra sink needs per-span
+	// results.
+	result TargetResult
 
-	// obs is this worker's telemetry shard (nil when disabled); spanSimNs
-	// accumulates the current span's simulated time for its trace event.
-	obs       *obs.Worker
-	spanSimNs int64
+	// obs is this worker's telemetry shard (nil when disabled).
+	obs *obs.Worker
 }
 
-// spanBatch carries one dispatch span's results and their pre-encoded sink
-// bytes from the worker that produced them to the in-order collector.
+// spanBatch carries one dispatch span's pre-encoded sink bytes (and, for
+// extra sinks, its results) from the workers that produced them to the
+// in-order collector.
 type spanBatch struct {
 	lo, hi  int
-	results []TargetResult
-	json    []byte // newline-terminated records, span order
-	csv     []byte // encoded rows, span order
-	err     error  // deferred render failure, surfaced at emit
+	results []TargetResult // nil unless extra sinks read them
+	json    []byte         // newline-terminated records, span order
+	csv     []byte         // encoded rows, span order
+	err     error          // deferred render failure, surfaced at emit
+	simNs   int64          // simulated time probed so far, for the trace
 }
 
-// batchPipeline hands spanBatches from workers to the collector: a free
-// list for reuse plus a small lo-keyed map of in-flight batches. Two short
-// critical sections per span — not per target — is its entire footprint.
+// batchPipeline hands spanBatches from workers to the collector: a capped
+// free list for reuse plus a small lo-keyed map of in-flight batches. Two
+// short critical sections per span — not per target — is its entire
+// footprint.
 type batchPipeline struct {
 	mu      sync.Mutex
 	free    []*spanBatch
+	maxFree int
 	batches map[int]*spanBatch
+	// jsonCap and csvCap are the most bytes an emitted batch held: fresh
+	// batches start at that capacity instead of growing by append.
+	jsonCap, csvCap int
 }
 
-// get checks a batch for n results out of the pool, reset for filling.
-func (p *batchPipeline) get(n int) *spanBatch {
+// attach returns the batch published for span [lo,hi), or checks a fresh
+// one out of the pool — with a result slot per index when withResults —
+// and publishes it. fresh reports the latter: a resumed span re-attaches
+// to the batch already holding its rendered prefix.
+func (p *batchPipeline) attach(lo, hi int, withResults bool) (b *spanBatch, fresh bool) {
 	p.mu.Lock()
-	var b *spanBatch
+	defer p.mu.Unlock()
+	if b = p.batches[lo]; b != nil {
+		return b, false
+	}
 	if k := len(p.free); k > 0 {
 		b = p.free[k-1]
 		p.free = p.free[:k-1]
 	} else {
-		b = &spanBatch{}
+		b = &spanBatch{json: make([]byte, 0, p.jsonCap), csv: make([]byte, 0, p.csvCap)}
 	}
-	p.mu.Unlock()
-	if cap(b.results) < n {
-		b.results = make([]TargetResult, n)
+	if withResults {
+		n := hi - lo
+		if cap(b.results) < n {
+			b.results = make([]TargetResult, n)
+		}
+		b.results = b.results[:n]
 	}
-	b.results = b.results[:n]
-	b.json, b.csv, b.err = b.json[:0], b.csv[:0], nil
-	return b
-}
-
-// publish makes the batch findable by the collector under its span start.
-func (p *batchPipeline) publish(b *spanBatch) {
-	p.mu.Lock()
-	p.batches[b.lo] = b
-	p.mu.Unlock()
+	b.lo, b.hi = lo, hi
+	b.json, b.csv, b.err, b.simNs = b.json[:0], b.csv[:0], nil, 0
+	p.batches[lo] = b
+	return b, true
 }
 
 // take claims the batch published for the span starting at lo.
@@ -347,10 +376,14 @@ func (p *batchPipeline) take(lo int) *spanBatch {
 	return b
 }
 
-// put returns an emitted batch to the free list.
+// put returns an emitted batch to the free list, or drops it to the
+// garbage collector when the list already holds maxFree.
 func (p *batchPipeline) put(b *spanBatch) {
 	p.mu.Lock()
-	p.free = append(p.free, b)
+	p.jsonCap, p.csvCap = max(p.jsonCap, len(b.json)), max(p.csvCap, len(b.csv))
+	if len(p.free) < p.maxFree {
+		p.free = append(p.free, b)
+	}
 	p.mu.Unlock()
 }
 

@@ -335,11 +335,14 @@ func (st *workerState) runSession(conn net.Conn) (welcomed bool, err error) {
 	}
 }
 
-// probeTarget drives one index through its attempts, mirroring the
-// scheduler's retry semantics exactly: attempt+1 lands in the result's
-// Attempts field, so retry behavior is part of the byte contract. A
-// terminally failing target is not an error — its result records the
-// failure, exactly as in a single-process run.
+// probeTarget drives one index through its attempts with the scheduler's
+// attempt count and backoff schedule (backoff, doubling per attempt):
+// attempt+1 lands in the result's Attempts field, so retry behavior is
+// part of the byte contract. Unlike the in-process scheduler, which parks
+// a waiting span and keeps probing, it sleeps the backoff inline and so
+// blocks the rest of its lease; not blocking needs pipelined leases, a
+// protocol change. A terminally failing target is not an error — its
+// result records the failure, exactly as in a single-process run.
 func probeTarget(arena *campaign.ProbeArena, wobs *obs.Worker, cfg WorkerConfig,
 	res *campaign.TargetResult, index, retries int, backoff time.Duration, limiter *workerBucket) {
 	b := backoff

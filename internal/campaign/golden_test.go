@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // Pre-batching goldens: SHA-256 of the JSONL and CSV a campaign over
@@ -118,4 +119,69 @@ func TestCampaignBatchMatrixGolden(t *testing.T) {
 	// one removes it entirely. Neither may change a byte.
 	check("window-tight", 4, 8, 5, false)
 	check("window-huge", 4, 8, 4096, true)
+}
+
+// retrySpec is a campaign with retries: the lossy/transfer slice of the
+// catalog cmd/campaign enumerates at its default seed with -seeds 40,
+// where 3 of the 360 targets fail their first attempt.
+func retrySpec() EnumSpec {
+	return EnumSpec{Impairments: []string{"lossy"}, Tests: []string{"transfer"}, Seeds: 40, BaseSeed: 719}
+}
+
+// TestCampaignRetryBackoffGolden pins that parking retries changes no
+// byte: a campaign with retries writes identical JSONL, CSV and summary
+// with no backoff, with a 50 ms backoff under the adaptive window (which
+// widens while the retries wait) and under a tight explicit window (which
+// must not).
+func TestCampaignRetryBackoffGolden(t *testing.T) {
+	targets, err := Enumerate(retrySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(backoff time.Duration, window int) (jsonl, csv, text []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		cfg := Config{
+			Targets:    targets,
+			Samples:    8,
+			Workers:    4,
+			Retries:    1,
+			Backoff:    backoff,
+			Window:     window,
+			OutputPath: filepath.Join(dir, "out.jsonl"),
+			CSVPath:    filepath.Join(dir, "out.csv"),
+		}
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Retried != 3 {
+			t.Fatalf("backoff %v window %d: %d targets retried, want 3", backoff, window, sum.Retried)
+		}
+		if jsonl, err = os.ReadFile(cfg.OutputPath); err != nil {
+			t.Fatal(err)
+		}
+		if csv, err = os.ReadFile(cfg.CSVPath); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		sum.WriteText(&buf)
+		return jsonl, csv, buf.Bytes()
+	}
+	wantJSONL, wantCSV, wantText := run(0, 0)
+	for _, c := range []struct {
+		backoff time.Duration
+		window  int
+	}{{50 * time.Millisecond, 0}, {50 * time.Millisecond, 8}} {
+		jsonl, csv, text := run(c.backoff, c.window)
+		if !bytes.Equal(jsonl, wantJSONL) {
+			t.Errorf("backoff %v window %d: JSONL differs from backoff 0", c.backoff, c.window)
+		}
+		if !bytes.Equal(csv, wantCSV) {
+			t.Errorf("backoff %v window %d: CSV differs from backoff 0", c.backoff, c.window)
+		}
+		if !bytes.Equal(text, wantText) {
+			t.Errorf("backoff %v window %d: summary differs from backoff 0", c.backoff, c.window)
+		}
+	}
 }

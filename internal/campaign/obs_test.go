@@ -329,3 +329,102 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 		t.Fatalf("resumed summary covers %d targets, want %d", sum2.Targets, total)
 	}
 }
+
+// TestInterruptDrainsParkedRetry is TestInterruptDrainsAndResumes with a
+// span parked on its retry backoff when Interrupt closes: the drain must
+// wait out the backoff, run the retry and emit the span, and a resumed run
+// must complete the campaign byte-identical to an uninterrupted one.
+func TestInterruptDrainsParkedRetry(t *testing.T) {
+	targets, err := Enumerate(EnumSpec{Seeds: 40, BaseSeed: 719})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(dir string, mutate func(*Config)) (*Summary, []byte) {
+		t.Helper()
+		cfg := Config{
+			Targets:    targets,
+			Samples:    8,
+			Workers:    2,
+			Retries:    1,
+			Backoff:    200 * time.Millisecond,
+			OutputPath: filepath.Join(dir, "out.jsonl"),
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.OutputPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, data
+	}
+	_, want := run(t.TempDir(), nil)
+	wantLines := bytes.SplitAfter(want, []byte("\n"))
+	firstRetried := -1
+	for i, line := range wantLines {
+		if bytes.Contains(line, []byte(`"attempts":2`)) {
+			firstRetried = i
+			break
+		}
+	}
+	if firstRetried < 0 {
+		t.Fatal("reference run retried no target")
+	}
+
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.json")
+	interrupt := make(chan struct{})
+	reg := obs.NewCampaign(2)
+	finished := make(chan struct{})
+	go func() {
+		// Close Interrupt as soon as the first retry is parked.
+		for reg.Sched.PeakParked.Load() == 0 {
+			select {
+			case <-finished:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		close(interrupt)
+	}()
+	// Checkpoints fsync; the drain point and the run end are the ones
+	// that matter here.
+	const every = 1 << 20
+	sum, partial := run(dir, func(c *Config) {
+		c.CheckpointPath, c.CheckpointEvery = ckpt, every
+		c.Interrupt = interrupt
+		c.Obs = reg
+	})
+	close(finished)
+	got := bytes.Count(partial, []byte("\n"))
+	if got >= len(targets) {
+		t.Skipf("drain finished the whole campaign (%d targets) before quiesce took effect", got)
+	}
+	if !sum.Interrupted {
+		t.Fatalf("summary of a drained run (%d/%d emitted) not marked interrupted", got, len(targets))
+	}
+	if got <= firstRetried {
+		t.Fatalf("drain emitted %d records; the parked retry at index %d was not drained", got, firstRetried)
+	}
+	if ck, err := LoadCheckpoint(ckpt); err != nil || ck.Done != got {
+		t.Fatalf("checkpoint %+v (err %v), %d emitted", ck, err, got)
+	}
+	if !bytes.Equal(partial, want[:len(partial)]) {
+		t.Fatal("drained prefix differs from the uninterrupted run's prefix")
+	}
+
+	sum2, full := run(dir, func(c *Config) {
+		c.CheckpointPath, c.CheckpointEvery = ckpt, every
+		c.Resume = true
+	})
+	if sum2.Interrupted {
+		t.Fatal("resumed run marked interrupted")
+	}
+	if !bytes.Equal(full, want) {
+		t.Fatal("resumed campaign output differs from an uninterrupted run")
+	}
+}

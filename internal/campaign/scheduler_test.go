@@ -3,11 +3,14 @@ package campaign
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"reorder/internal/obs"
 )
 
 // TestSchedulerOrderedEmit checks that completions are re-sequenced into
@@ -47,18 +50,123 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 	}
 }
 
-// TestSchedulerRetryBackoff checks the retry budget and the doubling
-// backoff schedule.
-func TestSchedulerRetryBackoff(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 1, Retries: 3, Backoff: 50 * time.Millisecond})
-	var slept []time.Duration
-	s.sleep = func(d time.Duration) { slept = append(slept, d) }
+// fakeClock drives the scheduler's now and afterFunc hooks. Time moves
+// only through advance or, in auto mode, by each timer's full duration the
+// moment it is armed, firing it at once; every armed duration is recorded.
+type fakeClock struct {
+	mu     sync.Mutex
+	now    time.Time
+	auto   bool
+	armed  []time.Duration
+	timers []*fakeTimer
+}
 
-	attempts := 0
+type fakeTimer struct {
+	at   time.Time
+	f    func()
+	dead bool
+}
+
+// newFakeClock returns a clock at the Unix epoch installed in s.
+func newFakeClock(s *Scheduler, auto bool) *fakeClock {
+	c := &fakeClock{now: time.Unix(0, 0), auto: auto}
+	s.now, s.afterFunc = c.Now, c.AfterFunc
+	return c
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// AfterFunc arms f to run on its own goroutine once d has passed.
+func (c *fakeClock) AfterFunc(d time.Duration, f func()) func() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = append(c.armed, d)
+	t := &fakeTimer{at: c.now.Add(d), f: f}
+	if c.auto {
+		c.now = t.at
+		t.dead = true
+		go f()
+	} else {
+		c.timers = append(c.timers, t)
+	}
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		live := !t.dead
+		t.dead = true
+		return live
+	}
+}
+
+// advance moves time forward by d, firing every timer that fell due.
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	live := c.timers[:0]
+	for _, t := range c.timers {
+		switch {
+		case t.dead:
+		case !t.at.After(c.now):
+			t.dead = true
+			go t.f()
+		default:
+			live = append(live, t)
+		}
+	}
+	c.timers = live
+	c.mu.Unlock()
+}
+
+// live counts the armed timers that have neither fired nor been cancelled.
+func (c *fakeClock) live() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, t := range c.timers {
+		if !t.dead {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *fakeClock) armedDurations() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.armed...)
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestSchedulerRetryBackoff checks the retry budget and the doubling
+// backoff schedule: each attempt at the failing index starts exactly its
+// backoff after the previous one (b, 2b, 4b). The clock moves only by the
+// armed backoffs, so the attempt start times are exact.
+func TestSchedulerRetryBackoff(t *testing.T) {
+	const b = 50 * time.Millisecond
+	reg := &obs.Scheduler{}
+	s := NewScheduler(SchedulerConfig{Workers: 1, Retries: 3, Backoff: b, Obs: reg})
+	clk := newFakeClock(s, true)
+
+	var starts []time.Time
 	err := s.Run(0, 1,
 		func(worker, index, attempt int) error {
-			attempts++
-			if attempt < 2 {
+			starts = append(starts, clk.Now())
+			if attempt < 3 {
 				return errors.New("transient")
 			}
 			return nil
@@ -66,17 +174,23 @@ func TestSchedulerRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
+	want := []time.Duration{b, 2 * b, 4 * b}
+	if len(starts) != len(want)+1 {
+		t.Fatalf("attempts = %d, want %d", len(starts), len(want)+1)
 	}
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("backoff sleeps = %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff sleeps = %v, want %v", slept, want)
+	for k, d := range want {
+		if delay := starts[k+1].Sub(starts[k]); delay != d {
+			t.Fatalf("attempt %d started %v after attempt %d, want %v", k+1, delay, k, d)
 		}
+	}
+	if got := clk.armedDurations(); !slices.Equal(got, want) {
+		t.Fatalf("backoff timers = %v, want %v", got, want)
+	}
+	if got := reg.Retries.Load(); got != 3 {
+		t.Fatalf("Retries = %d, want 3", got)
+	}
+	if got := time.Duration(reg.BackoffNanos.Load()); got != 7*b {
+		t.Fatalf("BackoffNanos = %v, want %v", got, 7*b)
 	}
 }
 
@@ -167,29 +281,29 @@ func TestSchedulerEmitError(t *testing.T) {
 	}
 }
 
-// TestTokenBucket drives the limiter with a fake clock: the sleep hook is
-// the only thing advancing time, so the token arithmetic is fully
+// TestTokenBucket drives the limiter with a fake clock: the armed waits
+// are the only thing advancing time, so the token arithmetic is fully
 // observable.
 func TestTokenBucket(t *testing.T) {
-	now := time.Unix(0, 0)
-	var slept time.Duration
 	s := NewScheduler(SchedulerConfig{Workers: 1})
-	s.now = func() time.Time { return now }
-	s.sleep = func(d time.Duration) {
-		slept += d
-		now = now.Add(d)
+	clk := newFakeClock(s, true)
+	slept := func() (d time.Duration) {
+		for _, w := range clk.armedDurations() {
+			d += w
+		}
+		return d
 	}
 	tb := newTokenBucket(10, 1, s.now) // 10 tokens/s, burst 1
 
 	tb.take(s, nil) // the initial burst token: no wait
-	if slept != 0 {
-		t.Fatalf("first take slept %v, want 0", slept)
+	if got := slept(); got != 0 {
+		t.Fatalf("first take slept %v, want 0", got)
 	}
 	tb.take(s, nil)
 	tb.take(s, nil)
 	// Each subsequent token accrues at 100ms.
-	if want := 200 * time.Millisecond; slept != want {
-		t.Fatalf("three takes slept %v, want %v", slept, want)
+	if got, want := slept(), 200*time.Millisecond; got != want {
+		t.Fatalf("three takes slept %v, want %v", got, want)
 	}
 
 	if tb := newTokenBucket(0, 4, s.now); tb != nil {
@@ -250,21 +364,24 @@ func TestSchedulerEmitErrorMidBatch(t *testing.T) {
 	}
 }
 
-// TestSchedulerStopDuringRetryBackoff checks that a worker parked in a
-// retry backoff sleep aborts when the run is cancelled: the backoff here
-// is far longer than the test budget, so completing promptly proves the
-// sleep was interrupted.
+// TestSchedulerStopDuringRetryBackoff checks that a run cancelled while
+// spans wait out a retry backoff returns promptly: the fake clock never
+// reaches the minute-long backoff, so completing at all proves the
+// cancellation did not wait for it, and the backoff timer is cancelled.
 func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 	// Batch 1 keeps the clean index in its own span, so its emit (the
 	// cancellation trigger) is not gated on the failing spans finishing.
-	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 3, Backoff: time.Minute, Batch: 1})
+	reg := &obs.Scheduler{}
+	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 3, Backoff: time.Minute, Batch: 1, Obs: reg})
+	clk := newFakeClock(s, false)
 	sentinel := errors.New("emit failed")
 	began := time.Now()
 	err := s.Run(0, 8,
 		func(worker, index, attempt int) error {
 			if index == 0 {
-				// Give the other worker time to enter its backoff sleep.
-				time.Sleep(50 * time.Millisecond)
+				// Hold the cancellation until the other worker has
+				// parked a span on its backoff.
+				waitFor(t, "a parked retry", func() bool { return reg.PeakParked.Load() > 0 })
 				return nil
 			}
 			return errors.New("always failing: park in backoff")
@@ -275,6 +392,122 @@ func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 	}
 	if elapsed := time.Since(began); elapsed > 5*time.Second {
 		t.Fatalf("cancel took %v; a minute-long backoff was not interrupted", elapsed)
+	}
+	if n := clk.live(); n != 0 {
+		t.Fatalf("%d backoff timers still armed after the run returned", n)
+	}
+	if got := reg.BackoffNanos.Load(); got != 0 {
+		t.Fatalf("BackoffNanos = %v after a cancel before any backoff ended", time.Duration(got))
+	}
+}
+
+// TestSchedulerRetryHeadOfLine is the point of parking: index 0 fails
+// with a long backoff, and while it waits the pool completes every index
+// up to the widened window (1 .. MaxWindow-1) without running one beyond
+// it; only then does the retry run, and emit order stays intact.
+func TestSchedulerRetryHeadOfLine(t *testing.T) {
+	reg := &obs.Scheduler{}
+	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 1, Backoff: time.Hour, Batch: 1, Obs: reg})
+	clk := newFakeClock(s, false)
+	ceiling := s.MaxWindow()
+	if ceiling != retryWindow {
+		t.Fatalf("MaxWindow() = %d with retries and backoff, want %d", ceiling, retryWindow)
+	}
+	n := ceiling + 500
+	var done, beyond atomic.Int64
+	var retried atomic.Bool
+	var emitted []int
+	errc := make(chan error, 1)
+	go func() {
+		errc <- s.Run(0, n,
+			func(worker, index, attempt int) error {
+				switch {
+				case index == 0 && attempt == 0:
+					return errors.New("transient")
+				case index == 0:
+					retried.Store(true)
+					if got := done.Load(); got != int64(ceiling-1) {
+						t.Errorf("retry ran after %d indices completed, want %d", got, ceiling-1)
+					}
+				case index >= ceiling && !retried.Load():
+					beyond.Add(1)
+				default:
+					done.Add(1)
+				}
+				return nil
+			},
+			func(index int) error { emitted = append(emitted, index); return nil })
+	}()
+	// Every index up to the window completes and waits for emit behind
+	// index 0, and every worker parks on the window gate.
+	waitFor(t, "the pool to fill the widened window", func() bool {
+		return reg.PeakUnemitted.Load() == int64(ceiling-1) && reg.WindowStalls.Load() >= 2
+	})
+	clk.advance(time.Hour)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := beyond.Load(); got != 0 {
+		t.Fatalf("%d indices beyond the window ran while index 0 was parked", got)
+	}
+	if !retried.Load() {
+		t.Fatal("index 0 was never retried")
+	}
+	if len(emitted) != n {
+		t.Fatalf("emitted %d of %d", len(emitted), n)
+	}
+	for i, v := range emitted {
+		if v != i {
+			t.Fatalf("emit order broken at %d: got %d", i, v)
+		}
+	}
+	// Index 0 joins the buffered indices just before they all emit.
+	if got := reg.PeakUnemitted.Load(); got != int64(ceiling) {
+		t.Fatalf("PeakUnemitted = %d after the run, want %d", got, ceiling)
+	}
+}
+
+// TestSchedulerExplicitWindowBoundsRetries checks that an explicit Window
+// stays a hard bound while a retry is parked: the window does not widen,
+// and MaxWindow says so.
+func TestSchedulerExplicitWindowBoundsRetries(t *testing.T) {
+	const window, n = 8, 100
+	reg := &obs.Scheduler{}
+	s := NewScheduler(SchedulerConfig{Workers: 4, Retries: 2, Backoff: time.Hour, Window: window, Batch: 1, Obs: reg})
+	clk := newFakeClock(s, false)
+	if got := s.MaxWindow(); got != window {
+		t.Fatalf("MaxWindow() = %d under an explicit window, want %d", got, window)
+	}
+	var done, beyond atomic.Int64
+	var retried atomic.Bool
+	errc := make(chan error, 1)
+	go func() {
+		errc <- s.Run(0, n,
+			func(worker, index, attempt int) error {
+				switch {
+				case index == 0 && attempt == 0:
+					return errors.New("transient")
+				case index == 0:
+					retried.Store(true)
+				case index >= window && !retried.Load():
+					beyond.Add(1)
+				}
+				done.Add(1)
+				return nil
+			}, nil)
+	}()
+	waitFor(t, "the window to fill behind index 0", func() bool {
+		return reg.PeakUnemitted.Load() == window-1 && reg.WindowStalls.Load() >= 4
+	})
+	clk.advance(time.Hour)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := beyond.Load(); got != 0 {
+		t.Fatalf("%d indices at or beyond the window of %d ran while index 0 was parked", got, window)
+	}
+	if got := done.Load(); got != n {
+		t.Fatalf("completed %d of %d", got, n)
 	}
 }
 
@@ -411,19 +644,14 @@ func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
 // through the bucket.
 func TestSchedulerRateLimit(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, RatePerSec: 1000, Burst: 1})
-	var mu sync.Mutex
-	var slept time.Duration
-	now := time.Unix(0, 0)
-	s.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	s.sleep = func(d time.Duration) {
-		mu.Lock()
-		slept += d
-		now = now.Add(d)
-		mu.Unlock()
-	}
+	clk := newFakeClock(s, true)
 	err := s.Run(0, 5, func(worker, index, attempt int) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var slept time.Duration
+	for _, d := range clk.armedDurations() {
+		slept += d
 	}
 	// 5 launches, burst 1: at least 4 tokens accrued by sleeping.
 	if slept < 4*time.Millisecond {

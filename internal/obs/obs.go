@@ -192,9 +192,15 @@ type Scheduler struct {
 	WindowStalls     Counter
 	WindowStallNanos Counter
 	// Retries counts failed attempts that were retried; BackoffNanos is
-	// the wall time spent in retry backoff sleeps.
+	// the retry backoff waited, summed over targets. A waiting target's
+	// span is parked, not slept on, so backoff overlaps other work.
 	Retries      Counter
 	BackoffNanos Counter
+	// PeakParked is the most spans parked on a retry backoff at once, and
+	// PeakUnemitted the most targets probed but not yet emitted (completed
+	// spans held for in-order emit) — what a widened window buffered.
+	PeakParked    Gauge
+	PeakUnemitted Gauge
 	// RateWaitNanos is the wall time spent blocked in the token bucket —
 	// the politeness budget a rate-limited campaign pays.
 	RateWaitNanos Counter

@@ -204,6 +204,23 @@ func TestNoteQuiesceCountsOnce(t *testing.T) {
 	}
 }
 
+// TestSchedulerStatsLine checks the -stats scheduler line reports retry
+// parking: retries with their summed backoff, the peak parked spans and
+// the peak probed-but-unemitted targets.
+func TestSchedulerStatsLine(t *testing.T) {
+	c := NewCampaign(1)
+	c.Sched.Retries.Add(59)
+	c.Sched.BackoffNanos.Add(uint64(2950 * time.Millisecond))
+	c.Sched.PeakParked.SetMax(2)
+	c.Sched.PeakUnemitted.SetMax(8191)
+	var buf bytes.Buffer
+	c.Snapshot().WriteText(&buf)
+	want := "59 retries (2.95s backoff, peak 2 spans parked), peak 8191 unemitted"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("stats text missing %q:\n%s", want, buf.String())
+	}
+}
+
 func TestSnapshotAggregatesShards(t *testing.T) {
 	c := NewCampaign(3)
 	for i := 0; i < 3; i++ {
@@ -241,6 +258,8 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	c := NewCampaign(2)
 	c.StartRun(0, 100)
 	c.Sched.SpanClaims.Add(7)
+	c.Sched.PeakParked.SetMax(3)
+	c.Sched.PeakUnemitted.SetMax(8191)
 	c.Worker(0).ProbeNanos.Observe(1500)
 	c.Worker(1).ProbeNanos.Observe(900_000)
 	c.Sinks.JSONLBatches.Inc()
@@ -318,6 +337,8 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 		"campaign_targets_done 42",
 		"campaign_targets_total 100",
 		"campaign_scheduler_span_claims_total 7",
+		"campaign_scheduler_peak_parked_spans 3",
+		"campaign_scheduler_peak_unemitted_targets 8191",
 		`campaign_sink_bytes_total{sink="jsonl"} 512`,
 		"campaign_probe_latency_seconds_count 2",
 	} {

@@ -70,7 +70,9 @@ func (c *Campaign) WritePrometheus(w io.Writer) {
 	promCounter(w, "campaign_scheduler_window_stalls_total", "workers parked on the dispatch-window gate", s.Scheduler.WindowStalls)
 	promSeconds(w, "campaign_scheduler_window_stall_seconds_total", "wall time parked on the window gate", s.Scheduler.WindowStallNanos)
 	promCounter(w, "campaign_scheduler_retries_total", "failed attempts that were retried", s.Scheduler.Retries)
-	promSeconds(w, "campaign_scheduler_backoff_seconds_total", "wall time in retry backoff", s.Scheduler.BackoffNanos)
+	promSeconds(w, "campaign_scheduler_backoff_seconds_total", "retry backoff waited, summed over targets", s.Scheduler.BackoffNanos)
+	promGauge(w, "campaign_scheduler_peak_parked_spans", "most spans parked on a retry backoff at once", float64(s.Scheduler.PeakParked))
+	promGauge(w, "campaign_scheduler_peak_unemitted_targets", "most targets probed but not yet emitted in order", float64(s.Scheduler.PeakUnemitted))
 	promSeconds(w, "campaign_scheduler_rate_wait_seconds_total", "wall time blocked in the token bucket", s.Scheduler.RateWaitNanos)
 
 	promCounter(w, "campaign_worker_targets_total", "terminal per-target results produced", s.Workers.Targets)

@@ -39,6 +39,8 @@ type SchedulerSnapshot struct {
 	WindowStallNanos uint64 `json:"window_stall_ns"`
 	Retries          uint64 `json:"retries"`
 	BackoffNanos     uint64 `json:"backoff_ns"`
+	PeakParked       int64  `json:"peak_parked"`
+	PeakUnemitted    int64  `json:"peak_unemitted"`
 	RateWaitNanos    uint64 `json:"rate_wait_ns"`
 	Quiesces         uint64 `json:"quiesces"`
 }
@@ -120,6 +122,8 @@ func (c *Campaign) Snapshot() Snapshot {
 		WindowStallNanos: c.Sched.WindowStallNanos.Load(),
 		Retries:          c.Sched.Retries.Load(),
 		BackoffNanos:     c.Sched.BackoffNanos.Load(),
+		PeakParked:       c.Sched.PeakParked.Load(),
+		PeakUnemitted:    c.Sched.PeakUnemitted.Load(),
 		RateWaitNanos:    c.Sched.RateWaitNanos.Load(),
 		Quiesces:         c.Sched.Quiesces.Load(),
 	}
@@ -197,10 +201,11 @@ func fmtNs(ns float64) string {
 func (s Snapshot) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "telemetry: %d/%d targets in %.2fs (avg %.0f/s, inst %.0f/s)\n",
 		s.Done, s.Total, s.WallSeconds, s.AvgRate, s.InstRate)
-	fmt.Fprintf(w, "scheduler: %d span claims, %d window stalls (%v parked), %d retries (%v backoff), %v rate-wait\n",
+	fmt.Fprintf(w, "scheduler: %d span claims, %d window stalls (%v parked), %d retries (%v backoff, peak %d spans parked), peak %d unemitted, %v rate-wait\n",
 		s.Scheduler.SpanClaims, s.Scheduler.WindowStalls,
 		time.Duration(s.Scheduler.WindowStallNanos),
 		s.Scheduler.Retries, time.Duration(s.Scheduler.BackoffNanos),
+		s.Scheduler.PeakParked, s.Scheduler.PeakUnemitted,
 		time.Duration(s.Scheduler.RateWaitNanos))
 	if s.ProbeLatency.Count > 0 {
 		fmt.Fprintf(w, "probe latency: p50=%s p90=%s p99=%s max=%s (n=%d, %d attempts)\n",
