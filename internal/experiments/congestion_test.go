@@ -64,6 +64,8 @@ func TestCongestionExperiment(t *testing.T) {
 	}
 }
 
+// TestCongestionDeterministic checks that the campaign-cell experiments'
+// reports do not depend on the worker count.
 func TestCongestionDeterministic(t *testing.T) {
 	run := func(workers int) *CongestionReport {
 		rep, err := RunCongestion(CongestionConfig{
@@ -80,5 +82,21 @@ func TestCongestionDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(run(1), run(4)) {
 		t.Fatal("congestion report depends on worker count")
+	}
+	chaos := func(workers int) *ChaosReport {
+		rep, err := RunChaos(ChaosConfig{
+			Scenarios: []string{"rst-inject", "route-flap"},
+			Replicas:  3,
+			Samples:   8,
+			Workers:   workers,
+			Seed:      11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if !reflect.DeepEqual(chaos(1), chaos(4)) {
+		t.Fatal("chaos report depends on worker count")
 	}
 }
