@@ -410,36 +410,19 @@ func (g *gate) stop() {
 	g.mu.Unlock()
 }
 
-// Run executes jobs for indices [start, end). job is called as
-// job(worker, index, attempt); a non-nil return triggers a retry after
-// backoff, up to the configured retry budget, after which the job counts
-// as done regardless (the job records its own terminal error). emit is
-// called serially, in ascending index order, once per finished index; a
-// non-nil emit error cancels the run and is returned. A nil emit is
-// allowed when only job side effects matter.
-func (s *Scheduler) Run(start, end int, job func(worker, index, attempt int) error, emit func(index int) error) error {
-	return s.RunSpans(start, end, nil, job, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if emit != nil {
-				if err := emit(i); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// RunSpans is the span-granular form of Run: workers claim contiguous
-// index spans off a shared cursor, and emitSpan is called serially with
-// each completed span in ascending index order (spans partition
-// [start,end), so consecutive calls are contiguous). begin (optional) is
-// called on a worker whenever it attaches to a span: once when it claims
-// the span, and again each time a worker resumes the span after a retry
-// backoff or returns to it after running a resumed one. Callers use it to
-// select per-span state such as encode buffers. job semantics match Run;
-// a failed attempt parks its span for the backoff and the worker takes
-// other work meanwhile. An emitSpan error cancels the run and is returned.
+// RunSpans executes jobs for indices [start, end): workers claim
+// contiguous index spans off a shared cursor, and emitSpan is called
+// serially with each completed span in ascending index order (spans
+// partition [start,end), so consecutive calls are contiguous). job is
+// called as job(worker, index, attempt); a non-nil return triggers a retry
+// after backoff, up to the configured retry budget, after which the index
+// counts as done regardless (the job records its own terminal error). A
+// failed attempt parks its span for the backoff and the worker takes other
+// work meanwhile. begin (optional) is called on a worker whenever it
+// attaches to a span: once when it claims the span, and again each time a
+// worker resumes the span after a retry backoff or returns to it after
+// running a resumed one. Callers use it to select per-span state such as
+// encode buffers. An emitSpan error cancels the run and is returned.
 func (s *Scheduler) RunSpans(start, end int,
 	begin func(worker, lo, hi int),
 	job func(worker, index, attempt int) error,

@@ -21,7 +21,7 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 	var mu sync.Mutex
 	done := make([]bool, n)
 	var emitted []int
-	err := s.Run(0, n,
+	err := s.RunSpans(0, n, nil,
 		func(worker, index, attempt int) error {
 			// Uneven simulated work so completion order scrambles.
 			time.Sleep(time.Duration(index%7) * time.Millisecond / 4)
@@ -30,13 +30,13 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		func(index int) error {
+		eachIndex(t, func(index int) error {
 			if !done[index] {
 				t.Errorf("emit(%d) before its job finished", index)
 			}
 			emitted = append(emitted, index)
 			return nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,25 @@ func TestSchedulerOrderedEmit(t *testing.T) {
 		if v != i {
 			t.Fatalf("emit order broken at %d: got %d", i, v)
 		}
+	}
+}
+
+// eachIndex adapts a per-index emit hook to RunSpans' span emit: it calls
+// emit (if non-nil) for each index of every span, in order, and fails the
+// test unless the spans arrive ascending and gap-free.
+func eachIndex(t *testing.T, emit func(index int) error) func(lo, hi int) error {
+	next := -1
+	return func(lo, hi int) error {
+		if (next >= 0 && lo != next) || hi <= lo {
+			t.Errorf("emitSpan(%d, %d) after a span ending at %d", lo, hi, next)
+		}
+		next = hi
+		for i := lo; emit != nil && i < hi; i++ {
+			if err := emit(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
@@ -163,14 +182,14 @@ func TestSchedulerRetryBackoff(t *testing.T) {
 	clk := newFakeClock(s, true)
 
 	var starts []time.Time
-	err := s.Run(0, 1,
+	err := s.RunSpans(0, 1, nil,
 		func(worker, index, attempt int) error {
 			starts = append(starts, clk.Now())
 			if attempt < 3 {
 				return errors.New("transient")
 			}
 			return nil
-		}, nil)
+		}, eachIndex(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +219,12 @@ func TestSchedulerRetriesExhausted(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, Retries: 2})
 	attempts := make([]int, 3)
 	emitted := 0
-	err := s.Run(0, 3,
+	err := s.RunSpans(0, 3, nil,
 		func(worker, index, attempt int) error {
 			attempts[index]++
 			return errors.New("always fails")
 		},
-		func(index int) error { emitted++; return nil })
+		eachIndex(t, func(index int) error { emitted++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +261,7 @@ func TestSchedulerDispatchWindow(t *testing.T) {
 		}
 		close(release)
 	}()
-	err := s.Run(0, 100,
+	err := s.RunSpans(0, 100, nil,
 		func(worker, index, attempt int) error {
 			mu.Lock()
 			if index > maxStarted {
@@ -254,7 +273,7 @@ func TestSchedulerDispatchWindow(t *testing.T) {
 			}
 			return nil
 		},
-		func(index int) error { emitted++; return nil })
+		eachIndex(t, func(index int) error { emitted++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +287,14 @@ func TestSchedulerDispatchWindow(t *testing.T) {
 func TestSchedulerEmitError(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 4})
 	sentinel := errors.New("sink full")
-	err := s.Run(0, 64,
+	err := s.RunSpans(0, 64, nil,
 		func(worker, index, attempt int) error { return nil },
-		func(index int) error {
+		eachIndex(t, func(index int) error {
 			if index == 5 {
 				return sentinel
 			}
 			return nil
-		})
+		}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -320,9 +339,9 @@ func TestSchedulerCancelInterruptsRateWait(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 4, RatePerSec: 0.5, Burst: 1})
 	sentinel := errors.New("sink failed")
 	began := time.Now()
-	err := s.Run(0, 10,
+	err := s.RunSpans(0, 10, nil,
 		func(worker, index, attempt int) error { return nil },
-		func(index int) error { return sentinel })
+		eachIndex(t, func(index int) error { return sentinel }))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -340,17 +359,17 @@ func TestSchedulerEmitErrorMidBatch(t *testing.T) {
 	sentinel := errors.New("sink full mid-batch")
 	var jobs atomic.Int64
 	began := time.Now()
-	err := s.Run(0, 10_000,
+	err := s.RunSpans(0, 10_000, nil,
 		func(worker, index, attempt int) error {
 			jobs.Add(1)
 			return nil
 		},
-		func(index int) error {
+		eachIndex(t, func(index int) error {
 			if index == 13 { // mid-span for every batch size > 1
 				return sentinel
 			}
 			return nil
-		})
+		}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -376,7 +395,7 @@ func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 	clk := newFakeClock(s, false)
 	sentinel := errors.New("emit failed")
 	began := time.Now()
-	err := s.Run(0, 8,
+	err := s.RunSpans(0, 8, nil,
 		func(worker, index, attempt int) error {
 			if index == 0 {
 				// Hold the cancellation until the other worker has
@@ -386,7 +405,7 @@ func TestSchedulerStopDuringRetryBackoff(t *testing.T) {
 			}
 			return errors.New("always failing: park in backoff")
 		},
-		func(index int) error { return sentinel })
+		eachIndex(t, func(index int) error { return sentinel }))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -419,7 +438,7 @@ func TestSchedulerRetryHeadOfLine(t *testing.T) {
 	var emitted []int
 	errc := make(chan error, 1)
 	go func() {
-		errc <- s.Run(0, n,
+		errc <- s.RunSpans(0, n, nil,
 			func(worker, index, attempt int) error {
 				switch {
 				case index == 0 && attempt == 0:
@@ -436,7 +455,7 @@ func TestSchedulerRetryHeadOfLine(t *testing.T) {
 				}
 				return nil
 			},
-			func(index int) error { emitted = append(emitted, index); return nil })
+			eachIndex(t, func(index int) error { emitted = append(emitted, index); return nil }))
 	}()
 	// Every index up to the window completes and waits for emit behind
 	// index 0, and every worker parks on the window gate.
@@ -482,7 +501,7 @@ func TestSchedulerExplicitWindowBoundsRetries(t *testing.T) {
 	var retried atomic.Bool
 	errc := make(chan error, 1)
 	go func() {
-		errc <- s.Run(0, n,
+		errc <- s.RunSpans(0, n, nil,
 			func(worker, index, attempt int) error {
 				switch {
 				case index == 0 && attempt == 0:
@@ -494,7 +513,7 @@ func TestSchedulerExplicitWindowBoundsRetries(t *testing.T) {
 				}
 				done.Add(1)
 				return nil
-			}, nil)
+			}, eachIndex(t, nil))
 	}()
 	waitFor(t, "the window to fill behind index 0", func() bool {
 		return reg.PeakUnemitted.Load() == window-1 && reg.WindowStalls.Load() >= 4
@@ -521,9 +540,9 @@ func TestSchedulerStopBlockedInTokenTake(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 4, RatePerSec: 1.0 / 600, Burst: 1, Batch: 16})
 	sentinel := errors.New("emit failed")
 	began := time.Now()
-	err := s.Run(0, 100,
+	err := s.RunSpans(0, 100, nil,
 		func(worker, index, attempt int) error { return nil },
-		func(index int) error { return sentinel })
+		eachIndex(t, func(index int) error { return sentinel }))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -614,7 +633,7 @@ func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
 	var mu sync.Mutex
 	frontier := 0
 	worst := 0
-	err := s.Run(0, 500,
+	err := s.RunSpans(0, 500, nil,
 		func(worker, index, attempt int) error {
 			mu.Lock()
 			if ahead := index - frontier; ahead > worst {
@@ -626,12 +645,12 @@ func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
 			}
 			return nil
 		},
-		func(index int) error {
+		eachIndex(t, func(index int) error {
 			mu.Lock()
 			frontier = index + 1
 			mu.Unlock()
 			return nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +664,7 @@ func TestSchedulerAdaptiveWindowBounds(t *testing.T) {
 func TestSchedulerRateLimit(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, RatePerSec: 1000, Burst: 1})
 	clk := newFakeClock(s, true)
-	err := s.Run(0, 5, func(worker, index, attempt int) error { return nil }, nil)
+	err := s.RunSpans(0, 5, nil, func(worker, index, attempt int) error { return nil }, eachIndex(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

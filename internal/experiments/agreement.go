@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"reorder/internal/stats"
+	"sort"
 )
 
 // AgreementPair is the §IV-B paired-difference comparison of two techniques
@@ -59,43 +58,19 @@ func RunAgreement(survey *SurveyReport, confidence float64) *AgreementReport {
 	if confidence == 0 {
 		confidence = 0.999
 	}
-	rep := &AgreementReport{Confidence: confidence}
-	type dirSel struct {
-		name   string
-		series func(*HostRecord, string) []float64
-	}
-	dirs := []dirSel{
-		{"forward", func(h *HostRecord, t string) []float64 { return h.FwdSeries[t] }},
-		{"reverse", func(h *HostRecord, t string) []float64 { return h.RevSeries[t] }},
-	}
-	for _, d := range dirs {
-		for i, a := range TestNames {
-			for _, b := range TestNames[i+1:] {
-				if d.name == "forward" && (a == "transfer" || b == "transfer") {
-					continue // the transfer test has no forward direction
+	rep := &AgreementReport{Confidence: confidence, Pairs: techniquePairs(TestNames)}
+	// The table lists every forward pair before the reverse ones.
+	sort.SliceStable(rep.Pairs, func(i, j int) bool { return rep.Pairs[i].Direction < rep.Pairs[j].Direction })
+	for i := range rep.Pairs {
+		p := &rep.Pairs[i]
+		for _, h := range survey.Hosts {
+			if null, ok := pairedNull(h.FwdSeries, h.RevSeries, *p, confidence); ok {
+				p.Hosts++
+				if null {
+					p.NullOK++
 				}
-				pair := AgreementPair{TestA: a, TestB: b, Direction: d.name}
-				for _, h := range survey.Hosts {
-					sa, sb := d.series(h, a), d.series(h, b)
-					n := min(len(sa), len(sb))
-					if n < 3 {
-						continue
-					}
-					pair.Hosts++
-					if stats.PairDifference(sa[:n], sb[:n], confidence).NullSupported {
-						pair.NullOK++
-					}
-				}
-				rep.Pairs = append(rep.Pairs, pair)
 			}
 		}
 	}
 	return rep
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"reorder/internal/campaign"
-	"reorder/internal/stats"
 )
 
 // ChaosConfig parameterizes the fault-schedule experiment: a campaign over
@@ -38,51 +37,20 @@ type ChaosConfig struct {
 // the kind of technique divergence a fault schedule should expose.
 var chaosTests = []string{"single", "dual", "syn"}
 
-// ChaosCell aggregates one scenario×test combination.
-type ChaosCell struct {
-	Scenario string
-	Topology string // the scenario's paired topology ("" = point-to-point)
-	Test     string
-	Targets  int // probes that produced a measurement
-	Excluded int // probes excluded (errors, IPID prevalidation)
-	Errored  int // of Excluded, probes that ended in a hard error
-	// Reordering is the fraction of measurements with at least one
-	// reordered sample.
-	Reordering float64
-	// MeanFwdRate and MeanRevRate average the per-probe reordering rates.
-	MeanFwdRate, MeanRevRate float64
-}
-
 // ChaosReport is the experiment's output: per-cell incidence plus, per
-// scenario, the technique-agreement pairs.
-type ChaosReport struct {
-	Cells      []ChaosCell
-	Agreement  map[string][]AgreementPair
-	Confidence float64
-}
-
-// Cell returns the (scenario, test) cell, if present.
-func (rep *ChaosReport) Cell(scenario, test string) (ChaosCell, bool) {
-	for _, c := range rep.Cells {
-		if c.Scenario == scenario && c.Test == test {
-			return c, true
-		}
-	}
-	return ChaosCell{}, false
-}
+// scenario, the technique-agreement pairs. A cell's Group is its scenario
+// ("" = the static control).
+type ChaosReport struct{ Comparison }
 
 // Disagreements returns the scenarios with at least one agreement pair
 // whose null hypothesis (same mean rate from both techniques) is rejected
 // — the schedules that measurably split the techniques apart.
 func (rep *ChaosReport) Disagreements() []string {
 	var out []string
-	for _, c := range rep.Cells {
-		if c.Test != chaosTests[0] {
-			continue
-		}
-		for _, p := range rep.Agreement[c.Scenario] {
+	for _, scn := range rep.groups() {
+		for _, p := range rep.Agreement[scn] {
 			if p.Hosts > 0 && p.NullOK == 0 {
-				out = append(out, c.Scenario)
+				out = append(out, scn)
 				break
 			}
 		}
@@ -96,7 +64,7 @@ func (rep *ChaosReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "%-15s %-10s %-7s %7s %8s %7s %10s %9s %9s\n",
 		"scenario", "topology", "test", "targets", "excluded", "errors", "reordering", "fwd-rate", "rev-rate")
 	for _, c := range rep.Cells {
-		name, topo := c.Scenario, c.Topology
+		name, topo := c.Group, c.Topology
 		if name == "" {
 			name = "(static)"
 		}
@@ -109,16 +77,12 @@ func (rep *ChaosReport) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\ntechnique agreement per scenario (paired-difference @ %.1f%% confidence)\n", rep.Confidence*100)
 	fmt.Fprintf(w, "%-15s %-8s %-8s %-8s %6s %7s\n", "scenario", "test-a", "test-b", "dir", "series", "null-ok")
-	for _, c := range rep.Cells {
-		// Emit each scenario's pairs once, on its first cell.
-		if c.Test != chaosTests[0] {
-			continue
-		}
-		name := c.Scenario
+	for _, scn := range rep.groups() {
+		name := scn
 		if name == "" {
 			name = "(static)"
 		}
-		for _, p := range rep.Agreement[c.Scenario] {
+		for _, p := range rep.Agreement[scn] {
 			fmt.Fprintf(w, "%-15s %-8s %-8s %-8s %6d %7d\n",
 				name, p.TestA, p.TestB, p.Direction, p.Hosts, p.NullOK)
 		}
@@ -137,137 +101,22 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if len(cfg.Scenarios) == 0 {
 		cfg.Scenarios = campaign.ScenarioNames()
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 8
+	pass := comparePass{
+		tests: chaosTests, replicas: cfg.Replicas, samples: cfg.Samples,
+		workers: cfg.Workers, seed: cfg.Seed, confidence: cfg.Confidence,
 	}
-	if cfg.Samples <= 0 {
-		cfg.Samples = 16
-	}
-	if cfg.Confidence == 0 {
-		cfg.Confidence = 0.999
-	}
-	scenarios := append([]string{""}, cfg.Scenarios...)
-
-	// Scenarios that need a routed topology (route flaps) enumerate with
-	// it; the rest run point-to-point. Grouping by topology keeps each
-	// Enumerate call a clean cross-product.
-	var targets []campaign.Target
-	for _, scn := range scenarios {
-		scns := []string{scn}
-		if scn == "" {
-			scns = nil // Enumerate's default static entry
-		}
-		ts, err := campaign.Enumerate(campaign.EnumSpec{
+	for _, scn := range append([]string{""}, cfg.Scenarios...) {
+		topo := campaign.ScenarioTopology(scn)
+		pass.groups = append(pass.groups, cellGroup{name: scn, topology: topo, spec: campaign.EnumSpec{
 			Profiles:    []string{"freebsd4"},
 			Impairments: []string{"swap-heavy"},
-			Tests:       chaosTests,
-			Seeds:       cfg.Replicas,
-			BaseSeed:    cfg.Seed,
-			Topologies:  topologiesFor(scn),
-			Scenarios:   scns,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := range ts {
-			ts[i].Index = len(targets) + i
-		}
-		targets = append(targets, ts...)
+			Topologies:  []string{topo},
+			Scenarios:   []string{scn},
+		}})
 	}
-
-	results := make([]campaign.TargetResult, 0, len(targets))
-	sink := campaign.FuncSink(func(r *campaign.TargetResult) error {
-		results = append(results, *r)
-		return nil
-	})
-	if _, err := campaign.Run(campaign.Config{
-		Targets: targets, Samples: cfg.Samples, Workers: cfg.Workers,
-		Sinks: []campaign.Sink{sink},
-	}); err != nil {
+	cmp, err := pass.run()
+	if err != nil {
 		return nil, err
 	}
-
-	rep := &ChaosReport{Confidence: cfg.Confidence, Agreement: map[string][]AgreementPair{}}
-	// Replica-paired rate series per scenario×test×direction: replica r of
-	// every technique derives from the same scenario seed (the test is
-	// excluded from seed derivation), so series index pairs are genuinely
-	// paired measurements of the same fault schedule.
-	type key struct{ scn, test string }
-	fwd := map[key][]float64{}
-	rev := map[key][]float64{}
-	for _, scn := range scenarios {
-		for _, test := range chaosTests {
-			cell := ChaosCell{Scenario: scn, Topology: campaign.ScenarioTopology(scn), Test: test}
-			k := key{scn, test}
-			for i := range results {
-				r := &results[i]
-				if r.Scenario != scn || r.Test != test {
-					continue
-				}
-				if r.Err != "" || r.DCTExcluded != "" {
-					cell.Excluded++
-					if r.Err != "" {
-						cell.Errored++
-					}
-					// Keep series index-aligned across techniques: an excluded
-					// replica pairs as a zero-rate measurement. Under schedules
-					// that kill connections outright (RST injection) the hard
-					// errors ARE the divergence, and zero-rate is exactly what
-					// the broken technique reports.
-					fwd[k] = append(fwd[k], 0)
-					rev[k] = append(rev[k], 0)
-					continue
-				}
-				cell.Targets++
-				if r.AnyReordering {
-					cell.Reordering++
-				}
-				cell.MeanFwdRate += r.FwdRate
-				cell.MeanRevRate += r.RevRate
-				fwd[k] = append(fwd[k], r.FwdRate)
-				rev[k] = append(rev[k], r.RevRate)
-			}
-			if cell.Targets > 0 {
-				cell.Reordering /= float64(cell.Targets)
-				cell.MeanFwdRate /= float64(cell.Targets)
-				cell.MeanRevRate /= float64(cell.Targets)
-			}
-			rep.Cells = append(rep.Cells, cell)
-		}
-	}
-
-	for _, scn := range scenarios {
-		var pairs []AgreementPair
-		for i, a := range chaosTests {
-			for _, b := range chaosTests[i+1:] {
-				for _, dir := range []string{"forward", "reverse"} {
-					series := fwd
-					if dir == "reverse" {
-						series = rev
-					}
-					sa, sb := series[key{scn, a}], series[key{scn, b}]
-					n := min(len(sa), len(sb))
-					if n < 3 {
-						continue
-					}
-					pair := AgreementPair{TestA: a, TestB: b, Direction: dir, Hosts: 1}
-					if stats.PairDifference(sa[:n], sb[:n], cfg.Confidence).NullSupported {
-						pair.NullOK = 1
-					}
-					pairs = append(pairs, pair)
-				}
-			}
-		}
-		rep.Agreement[scn] = pairs
-	}
-	return rep, nil
-}
-
-// topologiesFor returns the enumeration topology list for one scenario:
-// its designed-for pairing, or the classic point-to-point path.
-func topologiesFor(scenario string) []string {
-	if topo := campaign.ScenarioTopology(scenario); topo != "" {
-		return []string{topo}
-	}
-	return nil
+	return &ChaosReport{*cmp}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"reorder/internal/campaign"
-	"reorder/internal/stats"
 )
 
 // CongestionConfig parameterizes the routed-topology experiment: a campaign
@@ -33,36 +32,10 @@ type CongestionConfig struct {
 // and the SACK-based data transfer test, per the acceptance scenario.
 var congestionTests = []string{"single", "dual", "transfer"}
 
-// CongestionCell aggregates one topology×test combination.
-type CongestionCell struct {
-	Topology string
-	Test     string
-	Targets  int // probes that produced a measurement
-	Excluded int // probes excluded (errors, IPID prevalidation)
-	// Reordering is the fraction of measurements with at least one
-	// reordered sample.
-	Reordering float64
-	// MeanFwdRate and MeanRevRate average the per-probe reordering rates.
-	MeanFwdRate, MeanRevRate float64
-}
-
 // CongestionReport is the experiment's output: per-cell reordering
-// incidence plus, per topology, the technique-agreement pairs.
-type CongestionReport struct {
-	Cells      []CongestionCell
-	Agreement  map[string][]AgreementPair
-	Confidence float64
-}
-
-// Cell returns the (topology, test) cell, if present.
-func (rep *CongestionReport) Cell(topology, test string) (CongestionCell, bool) {
-	for _, c := range rep.Cells {
-		if c.Topology == topology && c.Test == test {
-			return c, true
-		}
-	}
-	return CongestionCell{}, false
-}
+// incidence plus, per topology, the technique-agreement pairs. A cell's
+// Group is its topology.
+type CongestionReport struct{ Comparison }
 
 // WriteText prints the per-cell table and the per-topology agreement pairs.
 func (rep *CongestionReport) WriteText(w io.Writer) {
@@ -75,14 +48,10 @@ func (rep *CongestionReport) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\ntechnique agreement per topology (paired-difference @ %.1f%% confidence)\n", rep.Confidence*100)
 	fmt.Fprintf(w, "%-12s %-10s %-10s %-8s %6s %7s\n", "topology", "test-a", "test-b", "dir", "series", "null-ok")
-	for _, c := range rep.Cells {
-		// Emit each topology's pairs once, on its first cell.
-		if c.Test != congestionTests[0] {
-			continue
-		}
-		for _, p := range rep.Agreement[c.Topology] {
+	for _, topo := range rep.groups() {
+		for _, p := range rep.Agreement[topo] {
 			fmt.Fprintf(w, "%-12s %-10s %-10s %-8s %6d %7d\n",
-				c.Topology, p.TestA, p.TestB, p.Direction, p.Hosts, p.NullOK)
+				topo, p.TestA, p.TestB, p.Direction, p.Hosts, p.NullOK)
 		}
 	}
 }
@@ -95,108 +64,20 @@ func RunCongestion(cfg CongestionConfig) (*CongestionReport, error) {
 	if len(cfg.Topologies) == 0 {
 		cfg.Topologies = campaign.TopologyNames()
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 8
+	pass := comparePass{
+		tests: congestionTests, replicas: cfg.Replicas, samples: cfg.Samples,
+		workers: cfg.Workers, seed: cfg.Seed, confidence: cfg.Confidence,
 	}
-	if cfg.Samples <= 0 {
-		cfg.Samples = 16
+	for _, topo := range cfg.Topologies {
+		pass.groups = append(pass.groups, cellGroup{name: topo, topology: topo, spec: campaign.EnumSpec{
+			Profiles:    []string{"freebsd4"},
+			Impairments: []string{"clean"},
+			Topologies:  []string{topo},
+		}})
 	}
-	if cfg.Confidence == 0 {
-		cfg.Confidence = 0.999
-	}
-	targets, err := campaign.Enumerate(campaign.EnumSpec{
-		Profiles:    []string{"freebsd4"},
-		Impairments: []string{"clean"},
-		Tests:       congestionTests,
-		Seeds:       cfg.Replicas,
-		BaseSeed:    cfg.Seed,
-		Topologies:  cfg.Topologies,
-	})
+	cmp, err := pass.run()
 	if err != nil {
 		return nil, err
 	}
-
-	results := make([]campaign.TargetResult, 0, len(targets))
-	sink := campaign.FuncSink(func(r *campaign.TargetResult) error {
-		results = append(results, *r)
-		return nil
-	})
-	if _, err := campaign.Run(campaign.Config{
-		Targets: targets, Samples: cfg.Samples, Workers: cfg.Workers,
-		Sinks: []campaign.Sink{sink},
-	}); err != nil {
-		return nil, err
-	}
-
-	rep := &CongestionReport{Confidence: cfg.Confidence, Agreement: map[string][]AgreementPair{}}
-	// Replica-paired rate series per topology×test×direction: replica r of
-	// every technique probes the same scenario seed (deriveSeed excludes
-	// the test), so series index pairs are genuinely paired measurements.
-	type key struct{ topo, test string }
-	fwd := map[key][]float64{}
-	rev := map[key][]float64{}
-	for _, topo := range cfg.Topologies {
-		for _, test := range congestionTests {
-			cell := CongestionCell{Topology: topo, Test: test}
-			k := key{topo, test}
-			for _, r := range results {
-				if r.Topology != topo || r.Test != test {
-					continue
-				}
-				if r.Err != "" || r.DCTExcluded != "" {
-					cell.Excluded++
-					// Keep series index-aligned across techniques: a missing
-					// replica measurement pairs as NaN-free zero-rate, which
-					// the small replica counts here tolerate better than
-					// misaligned pairs.
-					fwd[k] = append(fwd[k], 0)
-					rev[k] = append(rev[k], 0)
-					continue
-				}
-				cell.Targets++
-				if r.AnyReordering {
-					cell.Reordering++
-				}
-				cell.MeanFwdRate += r.FwdRate
-				cell.MeanRevRate += r.RevRate
-				fwd[k] = append(fwd[k], r.FwdRate)
-				rev[k] = append(rev[k], r.RevRate)
-			}
-			if cell.Targets > 0 {
-				cell.Reordering /= float64(cell.Targets)
-				cell.MeanFwdRate /= float64(cell.Targets)
-				cell.MeanRevRate /= float64(cell.Targets)
-			}
-			rep.Cells = append(rep.Cells, cell)
-		}
-	}
-
-	for _, topo := range cfg.Topologies {
-		var pairs []AgreementPair
-		for i, a := range congestionTests {
-			for _, b := range congestionTests[i+1:] {
-				for _, dir := range []string{"forward", "reverse"} {
-					if dir == "forward" && (a == "transfer" || b == "transfer") {
-						continue // the transfer test has no forward direction
-					}
-					series := fwd
-					if dir == "reverse" {
-						series = rev
-					}
-					sa, sb := series[key{topo, a}], series[key{topo, b}]
-					n := min(len(sa), len(sb))
-					if n < 3 {
-						continue
-					}
-					pair := AgreementPair{TestA: a, TestB: b, Direction: dir, Hosts: 1}
-					if stats.PairDifference(sa[:n], sb[:n], cfg.Confidence).NullSupported {
-						pair.NullOK = 1
-					}
-					pairs = append(pairs, pair)
-				}
-			}
-		}
-		rep.Agreement[topo] = pairs
-	}
-	return rep, nil
+	return &CongestionReport{*cmp}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"reorder/internal/campaign"
 	"reorder/internal/core"
 	"reorder/internal/host"
 	"reorder/internal/netem"
@@ -110,51 +109,44 @@ func (cfg GapSweepConfig) gaps() []time.Duration {
 func RunGapSweep(cfg GapSweepConfig) (*GapSweepReport, error) {
 	trunk := cfg.Trunk
 	if trunk == nil {
-		trunk = &netem.TrunkConfig{
-			FanOut:         2,
-			RateBps:        1_000_000_000,
-			BurstProb:      0.15,
-			MeanBurstBytes: 2500, // 20µs of drain time: the Fig 7 decay constant
-		}
+		trunk = fig7Trunk()
 	}
 	gaps := cfg.gaps()
 	points := make([]GapPoint, len(gaps))
-	errs := make([]error, len(gaps))
-	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: cfg.Workers})
-	if err := sched.RunSpans(0, len(gaps),
-		nil,
-		func(_, i, _ int) error {
-			n := simnet.New(simnet.Config{
-				Seed:   cfg.Seed + uint64(i),
-				Server: host.FreeBSD4(),
-				// A fast probe access link: minimum-sized sample packets must
-				// reach the trunk still back-to-back, or serialization delay
-				// floors the effective gap (the §IV-C size effect itself).
-				Forward: simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: trunk},
-			})
-			prober := core.NewProber(n.Probe(), n.ServerAddr(), cfg.Seed+uint64(i)*31)
-			res, err := prober.DualConnectionTest(core.DCTOptions{
-				Samples: cfg.SamplesPerPoint,
-				Gap:     gaps[i],
-			})
-			if err != nil {
-				errs[i] = err
-				return nil
-			}
-			f := res.Forward()
-			points[i] = GapPoint{Gap: gaps[i], Rate: f.Rate(), Valid: f.Valid()}
-			return nil
-		},
-		func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if errs[i] != nil {
-					return errs[i]
-				}
-			}
-			return nil
-		},
-	); err != nil {
+	// A fast probe access link: minimum-sized sample packets must reach the
+	// trunk still back-to-back, or serialization delay floors the effective
+	// gap (the §IV-C size effect itself).
+	path := simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: trunk}
+	if err := fanOut(len(gaps), cfg.Workers, func(i int) (err error) {
+		points[i], err = dctPoint(path, gaps[i], cfg.SamplesPerPoint, cfg.Seed+uint64(i), cfg.Seed+uint64(i)*31)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return &GapSweepReport{Points: points}, nil
+}
+
+// fig7Trunk is the default striped trunk: 2-way, 1 Gb/s, with bursty cross
+// traffic.
+func fig7Trunk() *netem.TrunkConfig {
+	return &netem.TrunkConfig{
+		FanOut:         2,
+		RateBps:        1_000_000_000,
+		BurstProb:      0.15,
+		MeanBurstBytes: 2500, // 20µs of drain time: the Fig 7 decay constant
+	}
+}
+
+// dctPoint measures one point of a gap curve: the dual connection test's
+// forward reordering rate at one sample spacing, against a FreeBSD 4
+// server behind the given forward path.
+func dctPoint(fwd simnet.PathSpec, gap time.Duration, samples int, netSeed, proberSeed uint64) (GapPoint, error) {
+	n := simnet.New(simnet.Config{Seed: netSeed, Server: host.FreeBSD4(), Forward: fwd})
+	prober := core.NewProber(n.Probe(), n.ServerAddr(), proberSeed)
+	res, err := prober.DualConnectionTest(core.DCTOptions{Samples: samples, Gap: gap})
+	if err != nil {
+		return GapPoint{}, err
+	}
+	f := res.Forward()
+	return GapPoint{Gap: gap, Rate: f.Rate(), Valid: f.Valid()}, nil
 }

@@ -5,9 +5,6 @@ import (
 	"io"
 	"time"
 
-	"reorder/internal/campaign"
-	"reorder/internal/core"
-	"reorder/internal/host"
 	"reorder/internal/netem"
 	"reorder/internal/simnet"
 )
@@ -120,10 +117,7 @@ func RunMechanisms(cfg MechanismsConfig) (*MechanismsReport, error) {
 		path func() simnet.PathSpec
 	}{
 		{"trunk", func() simnet.PathSpec {
-			return simnet.PathSpec{
-				LinkRate: 1_000_000_000,
-				Trunk:    &netem.TrunkConfig{FanOut: 2, RateBps: 1_000_000_000, BurstProb: 0.15, MeanBurstBytes: 2500},
-			}
+			return simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: fig7Trunk()}
 		}},
 		{"multipath", func() simnet.PathSpec {
 			return simnet.PathSpec{
@@ -140,48 +134,19 @@ func RunMechanisms(cfg MechanismsConfig) (*MechanismsReport, error) {
 			}
 		}},
 	}
-	// Flatten the mechanism × gap grid so the scheduler can span-dispatch
-	// it; each cell writes only its own slot, and the in-order emit pass
-	// surfaces the lowest-index failure deterministically.
-	type cell struct{ mech, gi int }
-	cells := make([]cell, 0, len(mechanisms)*len(cfg.Gaps))
-	for mi := range mechanisms {
-		for gi := range cfg.Gaps {
-			cells = append(cells, cell{mi, gi})
+	// Flatten the mechanism × gap grid: cell i is mechanism i/len(Gaps) at
+	// gap i%len(Gaps).
+	points := make([]GapPoint, len(mechanisms)*len(cfg.Gaps))
+	if err := fanOut(len(points), cfg.Workers, func(i int) error {
+		m, gi := mechanisms[i/len(cfg.Gaps)], i%len(cfg.Gaps)
+		gap := cfg.Gaps[gi]
+		p, err := dctPoint(m.path(), gap, cfg.SamplesPerPoint, cfg.Seed+uint64(gi)*101, cfg.Seed+uint64(gi))
+		if err != nil {
+			return fmt.Errorf("mechanism %s gap %v: %w", m.name, gap, err)
 		}
-	}
-	points := make([]GapPoint, len(cells))
-	errs := make([]error, len(cells))
-	sched := campaign.NewScheduler(campaign.SchedulerConfig{Workers: cfg.Workers})
-	if err := sched.RunSpans(0, len(cells),
-		nil,
-		func(_, index, _ int) error {
-			c := cells[index]
-			m, gap := mechanisms[c.mech], cfg.Gaps[c.gi]
-			n := simnet.New(simnet.Config{
-				Seed:    cfg.Seed + uint64(c.gi)*101,
-				Server:  host.FreeBSD4(),
-				Forward: m.path(),
-			})
-			prober := core.NewProber(n.Probe(), n.ServerAddr(), cfg.Seed+uint64(c.gi))
-			res, err := prober.DualConnectionTest(core.DCTOptions{Samples: cfg.SamplesPerPoint, Gap: gap})
-			if err != nil {
-				errs[index] = fmt.Errorf("mechanism %s gap %v: %w", m.name, gap, err)
-				return nil
-			}
-			f := res.Forward()
-			points[index] = GapPoint{Gap: gap, Rate: f.Rate(), Valid: f.Valid()}
-			return nil
-		},
-		func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if errs[i] != nil {
-					return errs[i]
-				}
-			}
-			return nil
-		},
-	); err != nil {
+		points[i] = p
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	rep := &MechanismsReport{}

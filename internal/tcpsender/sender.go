@@ -508,17 +508,3 @@ func (s *Sender) armRTO() {
 func (s *Sender) stopRTO() {
 	s.rtoTimer.Stop()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

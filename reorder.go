@@ -18,8 +18,9 @@
 //	...
 //	fmt.Printf("forward reordering: %.2f%%\n", res.Forward().Rate()*100)
 //
-// On a Linux host with raw-socket privileges and a network vantage point,
-// the same Prober runs over internal/livewire instead of the simulator.
+// The Prober needs only a Transport, so it runs unchanged over any
+// raw-packet wire that implements one; the simulator's probe NIC is the
+// one this module ships.
 package reorder
 
 import (
