@@ -112,26 +112,22 @@ func RunMechanisms(cfg MechanismsConfig) (*MechanismsReport, error) {
 		cfg = DefaultMechanisms()
 		cfg.Workers = workers
 	}
+	// Cells run concurrently but only read the path configs, so they share
+	// them.
 	mechanisms := []struct {
 		name string
-		path func() simnet.PathSpec
+		path simnet.PathSpec
 	}{
-		{"trunk", func() simnet.PathSpec {
-			return simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: fig7Trunk()}
+		{"trunk", simnet.PathSpec{LinkRate: 1_000_000_000, Trunk: fig7Trunk()}},
+		{"multipath", simnet.PathSpec{
+			LinkRate: 1_000_000_000,
+			MultiPath: &netem.MultiPathConfig{
+				Delays: []time.Duration{time.Millisecond + 150*time.Microsecond, time.Millisecond},
+			},
 		}},
-		{"multipath", func() simnet.PathSpec {
-			return simnet.PathSpec{
-				LinkRate: 1_000_000_000,
-				MultiPath: &netem.MultiPathConfig{
-					Delays: []time.Duration{time.Millisecond + 150*time.Microsecond, time.Millisecond},
-				},
-			}
-		}},
-		{"l2-arq", func() simnet.PathSpec {
-			return simnet.PathSpec{
-				LinkRate: 1_000_000_000,
-				ARQ:      &netem.ARQConfig{FrameErrorRate: 0.10, RetransmitDelay: 2 * time.Millisecond},
-			}
+		{"l2-arq", simnet.PathSpec{
+			LinkRate: 1_000_000_000,
+			ARQ:      &netem.ARQConfig{FrameErrorRate: 0.10, RetransmitDelay: 2 * time.Millisecond},
 		}},
 	}
 	// Flatten the mechanism × gap grid: cell i is mechanism i/len(Gaps) at
@@ -140,7 +136,7 @@ func RunMechanisms(cfg MechanismsConfig) (*MechanismsReport, error) {
 	if err := fanOut(len(points), cfg.Workers, func(i int) error {
 		m, gi := mechanisms[i/len(cfg.Gaps)], i%len(cfg.Gaps)
 		gap := cfg.Gaps[gi]
-		p, err := dctPoint(m.path(), gap, cfg.SamplesPerPoint, cfg.Seed+uint64(gi)*101, cfg.Seed+uint64(gi))
+		p, err := dctPoint(m.path, gap, cfg.SamplesPerPoint, cfg.Seed+uint64(gi)*101, cfg.Seed+uint64(gi))
 		if err != nil {
 			return fmt.Errorf("mechanism %s gap %v: %w", m.name, gap, err)
 		}
