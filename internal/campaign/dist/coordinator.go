@@ -191,6 +191,18 @@ func Serve(cfg Config) (*campaign.Summary, error) {
 	return sum, nil
 }
 
+// drainIfInterrupted drains the lease table if Interrupt is closed. The
+// watcher goroutine Serve starts does the same for handlers already parked
+// in grant; checking here too means no lease requested after the close is
+// granted, however late that goroutine runs.
+func (c *coordinator) drainIfInterrupted() {
+	select {
+	case <-c.cfg.Campaign.Interrupt:
+		c.table.drain()
+	default:
+	}
+}
+
 // fail records the first fatal error, wakes the lease table, and severs
 // every worker so their handlers unwind.
 func (c *coordinator) fail(err error) {
@@ -300,6 +312,7 @@ func (c *coordinator) handle(conn net.Conn) {
 			// grant blocks with no deadline pending — a worker waiting for
 			// work holds no leases, so its silence risks nothing.
 			conn.SetReadDeadline(time.Time{})
+			c.drainIfInterrupted()
 			sp, ok := c.table.grant(id)
 			if !ok {
 				w.send(&Msg{Type: MsgDrain})

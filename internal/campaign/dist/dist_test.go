@@ -71,12 +71,14 @@ func runSingle(t *testing.T, targets []campaign.Target, dir string) *campaign.Su
 // connected via TCP loopback and returns the summary.
 func serveDist(t *testing.T, cfg Config, targets []campaign.Target, n int) (*campaign.Summary, error) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Listener == nil {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Listener = ln
 	}
-	cfg.Listener = ln
-	addr := ln.Addr().String()
+	addr := cfg.Listener.Addr().String()
 	var wg sync.WaitGroup
 	workerErrs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -299,8 +301,11 @@ func TestDrainResume(t *testing.T) {
 	for _, resumeDist := range []bool{true, false} {
 		dir := t.TempDir()
 		out, csv, ckpt := outPaths(dir)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
 		interrupt := make(chan struct{})
-		var once sync.Once
 		sum, err := serveDist(t, Config{
 			Campaign: campaign.Config{
 				Targets:        targets,
@@ -309,12 +314,8 @@ func TestDrainResume(t *testing.T) {
 				CSVPath:        csv,
 				CheckpointPath: ckpt,
 				Interrupt:      interrupt,
-				Progress: func(done, total int) {
-					if done >= 7 {
-						once.Do(func() { close(interrupt) })
-					}
-				},
 			},
+			Listener:      &spanTripListener{Listener: ln, trip: interrupt},
 			SpanSize:      3,
 			ExpectWorkers: 2,
 		}, targets, 2)
@@ -355,6 +356,37 @@ func TestDrainResume(t *testing.T) {
 			t.Errorf("resume (dist=%v): CSV differs from uninterrupted run", resumeDist)
 		}
 	}
+}
+
+// spanTripListener closes trip when the coordinator writes its first span
+// reply on any accepted connection: an interrupt point that comes before
+// every later lease grant. Each worker holds at most one lease request
+// open, so at most one span per worker is granted before the drain, and
+// the 8-span campaign is always cut short.
+type spanTripListener struct {
+	net.Listener
+	trip chan struct{}
+	once sync.Once
+}
+
+func (l *spanTripListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return spanTripConn{Conn: conn, l: l}, nil
+}
+
+type spanTripConn struct {
+	net.Conn
+	l *spanTripListener
+}
+
+func (c spanTripConn) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte(`"type":"span"`)) {
+		c.l.once.Do(func() { close(c.l.trip) })
+	}
+	return c.Conn.Write(b)
 }
 
 // TestObsMerge runs a distributed campaign with telemetry on both sides

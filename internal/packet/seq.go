@@ -51,3 +51,39 @@ func IPIDLess(a, b uint16) bool { return int16(a-b) < 0 }
 
 // IPIDDiff returns the signed distance a-b in IPID space.
 func IPIDDiff(a, b uint16) int16 { return int16(a - b) }
+
+// SeqPattern is a payload that repeats with the sequence number: the byte
+// at sequence position q is base + q%period, with q taken mod 2^32. Senders
+// use it for content nobody reads but that must be deterministic.
+type SeqPattern struct {
+	base   byte
+	period uint32
+	buf    []byte // base + k%period for k in [0, period+0xffff)
+}
+
+// NewSeqPattern precomputes a pattern of the given base and period
+// (1..256).
+func NewSeqPattern(base byte, period int) *SeqPattern {
+	p := &SeqPattern{base: base, period: uint32(period), buf: make([]byte, period+0xffff)}
+	for k := range p.buf {
+		p.buf[k] = base + byte(k%period)
+	}
+	return p
+}
+
+// At returns the n pattern bytes at sequence positions [seq, seq+n). Any
+// segment that fits an IPv4 datagram is a sub-slice of the shared buffer,
+// which callers must not modify. A segment that crosses the 2^32 wrap
+// restarts the pattern there (2^32 is not in general a multiple of the
+// period), so it, like an oversized one, is built byte by byte.
+func (p *SeqPattern) At(seq, n uint32) []byte {
+	if uint64(seq)+uint64(n) > 1<<32 || n >= 0xffff {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = p.base + byte((seq+uint32(i))%p.period)
+		}
+		return b
+	}
+	off := seq % p.period
+	return p.buf[off : off+n]
+}

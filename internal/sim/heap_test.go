@@ -110,6 +110,71 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// assertNoStaleRefs fails if any slot that is not a live pending event
+// still references a callback or argument: a fired, cancelled, compacted
+// or reset event must not keep what it closed over reachable.
+func assertNoStaleRefs(t *testing.T, l *Loop, when string) {
+	t.Helper()
+	live := 0
+	for i := range l.slots {
+		s := &l.slots[i]
+		if s.live() {
+			live++
+			continue
+		}
+		if s.arg != nil {
+			t.Fatalf("%s: slot %d (heapIdx %d) still holds its argument", when, i, s.heapIdx)
+		}
+	}
+	if live != l.Len() {
+		t.Fatalf("%s: %d slots hold callbacks, %d events pending", when, live, l.Len())
+	}
+}
+
+// TestSlotsReleaseReferences checks every way an event leaves the loop —
+// firing, Stop followed by a drain, compaction and Reset — drops its
+// callback and argument, so pooled frames and closures are not pinned by
+// the slot table.
+func TestSlotsReleaseReferences(t *testing.T) {
+	l := NewLoop()
+	noop := func(any) {}
+	frame := func() any { return new([64]byte) }
+
+	l.AtArg(1, noop, frame())
+	l.At(2, func() {})
+	l.RunUntilIdle(0)
+	assertNoStaleRefs(t, l, "fired")
+
+	tm := l.AtArg(5, noop, frame())
+	keep := l.AtArg(6, noop, frame())
+	tm.Stop()
+	assertNoStaleRefs(t, l, "stopped")
+	l.RunUntil(5)
+	assertNoStaleRefs(t, l, "stopped and drained")
+	keep = l.Reschedule(keep, 7, func() {}) // afn+arg replaced by fn
+	assertNoStaleRefs(t, l, "rescheduled")
+	l.RunUntilIdle(0)
+
+	var timers []Timer
+	for i := 0; i < 200; i++ {
+		timers = append(timers, l.AtArg(l.Now().Add(time.Duration(i)), noop, frame()))
+	}
+	before := l.Stats().Compactions
+	for _, tm := range timers[:150] {
+		tm.Stop()
+	}
+	if l.Stats().Compactions == before {
+		t.Fatal("stopping 150 of 200 events did not compact the heap")
+	}
+	assertNoStaleRefs(t, l, "compacted")
+
+	l.Reset()
+	assertNoStaleRefs(t, l, "reset")
+	if keep.Pending() {
+		t.Fatal("handle pending after Reset")
+	}
+}
+
 // TestLoopReset checks that Reset restores a loop to fresh-start state and
 // invalidates every outstanding timer handle.
 func TestLoopReset(t *testing.T) {

@@ -8,11 +8,13 @@
 // clock, so a run that models 20 days of probing completes in milliseconds
 // and is exactly reproducible given the same seed.
 //
-// The event queue is a slice-backed inline 4-ary min-heap of event values:
-// scheduling allocates nothing on the steady-state path, which matters when
-// a campaign pumps millions of events per second through the probe engine.
-// Timer handles are generation-counted indexes into a free-listed slot
-// table, so cancelling is O(1) without keeping per-event pointers alive.
+// The event queue is a slice-backed inline 4-ary min-heap of pointer-free
+// {at, seq, slot} keys: scheduling allocates nothing on the steady-state
+// path, which matters when a campaign pumps millions of events per second
+// through the probe engine. The callback and its argument live in the
+// event's slot, a generation-counted entry of a free-listed table that
+// also backs Timer handles, so cancelling is O(1) and a heap move copies
+// 24 bytes with no write barrier. Sifts move a hole rather than swapping.
 package sim
 
 import (
@@ -53,14 +55,10 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	s := &t.l.slots[t.slot]
-	if s.gen != t.gen || s.heapIdx < 0 {
+	if s.gen != t.gen || s.heapIdx < 0 || !s.live() {
 		return false
 	}
-	ev := &t.l.events[s.heapIdx]
-	if ev.fn == nil && ev.afn == nil {
-		return false
-	}
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	s.clear()
 	t.l.dead++
 	t.l.maybeCompact()
 	return true
@@ -72,34 +70,39 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	s := &t.l.slots[t.slot]
-	if s.gen != t.gen || s.heapIdx < 0 {
-		return false
-	}
-	ev := &t.l.events[s.heapIdx]
-	return ev.fn != nil || ev.afn != nil
+	return s.gen == t.gen && s.heapIdx >= 0 && s.live()
 }
 
-// event is one scheduled callback. Exactly one of fn and afn is non-nil for
-// a live event; both nil marks a cancelled event awaiting drain. afn+arg is
-// the allocation-free form: a pointer-shaped arg boxed into an interface
-// does not allocate, so elements that forward frames can schedule with one
-// long-lived callback instead of a fresh closure per frame.
+// event is one heap entry: the (at, seq) ordering key and the slot that
+// holds its callback. It carries no pointers, so sifting it is a plain
+// copy.
 type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for events at the same instant
-	fn   func()
-	afn  func(any)
-	arg  any
 	slot int32
 }
 
-// slotState backs one Timer handle. heapIdx tracks where the event
-// currently sits in the heap (-1 once it has fired or drained); gen
-// invalidates stale handles when the slot is reused.
+// slotState backs one scheduled event and its Timer handles. Exactly one
+// of fn and afn is non-nil while the event is live; both nil marks a
+// cancelled event awaiting drain (or a free slot). afn+arg is the
+// allocation-free form: a pointer-shaped arg boxed into an interface does
+// not allocate, so elements that forward frames can schedule with one
+// long-lived callback instead of a fresh closure per frame. heapIdx tracks
+// where the event currently sits in the heap (-1 once it has fired or
+// drained); gen invalidates stale handles when the slot is reused.
 type slotState struct {
+	fn      func()
+	afn     func(any)
+	arg     any
 	heapIdx int32
 	gen     uint32
 }
+
+func (s *slotState) live() bool { return s.fn != nil || s.afn != nil }
+
+// clear drops the callback references, so a fired, cancelled or reset
+// slot cannot keep frames or closures reachable.
+func (s *slotState) clear() { s.fn, s.afn, s.arg = nil, nil, nil }
 
 // Loop is a discrete-event scheduler. It is not safe for concurrent use;
 // the entire simulation, including all network elements and the prober,
@@ -150,9 +153,9 @@ func NewLoop() *Loop { return &Loop{} }
 // next one. A Reset loop is indistinguishable from a NewLoop one.
 func (l *Loop) Reset() {
 	for i := range l.events {
-		ev := &l.events[i]
-		l.slots[ev.slot].gen++
-		ev.fn, ev.afn, ev.arg = nil, nil, nil
+		s := &l.slots[l.events[i].slot]
+		s.gen++
+		s.clear()
 	}
 	l.events = l.events[:0]
 	l.freeSlot = l.freeSlot[:0]
@@ -252,14 +255,14 @@ func (l *Loop) reschedule(tm Timer, t Time, fn func(), afn func(any), arg any) T
 	if t < l.now {
 		t = l.now
 	}
-	ev := &l.events[s.heapIdx]
-	if ev.fn == nil && ev.afn == nil {
+	if !s.live() {
 		l.dead-- // reviving a stopped entry in place
 	}
 	s.gen++ // invalidate stale handles, as Stop+At would
+	s.fn, s.afn, s.arg = fn, afn, arg
+	ev := &l.events[s.heapIdx]
 	ev.at, ev.seq = t, l.seq
 	l.seq++
-	ev.fn, ev.afn, ev.arg = fn, afn, arg
 	l.siftDown(s.heapIdx)
 	l.siftUp(s.heapIdx)
 	l.resched++
@@ -277,20 +280,14 @@ func (l *Loop) maybeCompact() {
 	}
 	l.compactions++
 	kept := l.events[:0]
-	for i := range l.events {
-		ev := &l.events[i]
-		if ev.fn == nil && ev.afn == nil {
-			s := &l.slots[ev.slot]
+	for _, ev := range l.events {
+		if s := &l.slots[ev.slot]; !s.live() {
 			s.heapIdx = -1
 			s.gen++
 			l.freeSlot = append(l.freeSlot, ev.slot)
 			continue
 		}
-		kept = append(kept, *ev)
-	}
-	tail := l.events[len(kept):]
-	for i := range tail {
-		tail[i] = event{} // release fn/arg references
+		kept = append(kept, ev)
 	}
 	l.events = kept
 	l.dead = 0
@@ -315,96 +312,99 @@ func (l *Loop) push(t Time, fn func(), afn func(any), arg any) Timer {
 		slot = int32(len(l.slots))
 		l.slots = append(l.slots, slotState{})
 	}
+	s := &l.slots[slot]
+	s.fn, s.afn, s.arg = fn, afn, arg
 	i := int32(len(l.events))
-	l.events = append(l.events, event{at: t, seq: l.seq, fn: fn, afn: afn, arg: arg, slot: slot})
+	l.events = append(l.events, event{at: t, seq: l.seq, slot: slot})
 	l.seq++
 	if n := len(l.events); n > l.peakHeap {
 		l.peakHeap = n
 	}
-	l.slots[slot].heapIdx = i
 	l.siftUp(i)
-	return Timer{l: l, slot: slot, gen: l.slots[slot].gen}
+	return Timer{l: l, slot: slot, gen: s.gen}
 }
 
 // less orders events by timestamp, then scheduling order. The key is unique
 // per event, so heap pop order is a total order identical to the previous
 // container/heap implementation's.
-func (l *Loop) less(i, j int32) bool {
-	a, b := &l.events[i], &l.events[j]
+func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (l *Loop) swap(i, j int32) {
-	l.events[i], l.events[j] = l.events[j], l.events[i]
-	l.slots[l.events[i].slot].heapIdx = i
-	l.slots[l.events[j].slot].heapIdx = j
-}
-
 const heapArity = 4
 
+// siftUp moves the entry at i toward the root, shifting each larger parent
+// down into the hole it leaves and writing the entry once at its final
+// index.
 func (l *Loop) siftUp(i int32) {
+	ev := l.events[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !l.less(i, parent) {
+		p := &l.events[parent]
+		if !less(&ev, p) {
 			break
 		}
-		l.swap(i, parent)
+		l.events[i] = *p
+		l.slots[p.slot].heapIdx = i
 		i = parent
 	}
+	l.events[i] = ev
+	l.slots[ev.slot].heapIdx = i
 }
 
+// siftDown moves the entry at i toward the leaves, shifting the smallest
+// child up into the hole at each level.
 func (l *Loop) siftDown(i int32) {
+	ev := l.events[i]
 	n := int32(len(l.events))
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
+		best := first
+		last := min(first+heapArity, n)
 		for c := first + 1; c < last; c++ {
-			if l.less(c, min) {
-				min = c
+			if less(&l.events[c], &l.events[best]) {
+				best = c
 			}
 		}
-		if !l.less(min, i) {
-			return
+		m := &l.events[best]
+		if !less(m, &ev) {
+			break
 		}
-		l.swap(i, min)
-		i = min
+		l.events[i] = *m
+		l.slots[m.slot].heapIdx = i
+		i = best
 	}
+	l.events[i] = ev
+	l.slots[ev.slot].heapIdx = i
 }
 
-// popMin removes the earliest event without copying it out; callers that
-// need its fields read them off the root first. Releases the event's slot.
+// popMin removes the earliest event and releases its slot, clearing the
+// callback references; callers that need them read them off the slot
+// first.
 func (l *Loop) popMin() {
-	root := &l.events[0]
-	if root.fn == nil && root.afn == nil {
+	slot := l.events[0].slot
+	s := &l.slots[slot]
+	if !s.live() {
 		l.dead-- // draining a cancelled entry
 	}
-	slot := root.slot
+	s.clear()
+	s.heapIdx = -1
+	s.gen++
+	l.freeSlot = append(l.freeSlot, slot)
 	n := int32(len(l.events)) - 1
 	if n > 0 {
 		l.events[0] = l.events[n]
-		l.slots[l.events[0].slot].heapIdx = 0
 	}
-	// Release only the reference-holding fields of the vacated entry; the
-	// stale scalars are overwritten by the next push into this index.
-	l.events[n].fn, l.events[n].afn, l.events[n].arg = nil, nil, nil
 	l.events = l.events[:n]
 	if n > 0 {
 		l.siftDown(0)
 	}
-	s := &l.slots[slot]
-	s.heapIdx = -1
-	s.gen++
-	l.freeSlot = append(l.freeSlot, slot)
 }
 
 // Step executes the earliest pending event, advancing the clock to its
@@ -412,8 +412,9 @@ func (l *Loop) popMin() {
 // skipped without being counted.
 func (l *Loop) Step() bool {
 	for len(l.events) > 0 {
-		root := &l.events[0]
-		at, fn, afn, arg := root.at, root.fn, root.afn, root.arg
+		at := l.events[0].at
+		s := &l.slots[l.events[0].slot]
+		fn, afn, arg := s.fn, s.afn, s.arg
 		l.popMin()
 		if fn == nil && afn == nil {
 			continue // cancelled
@@ -437,7 +438,7 @@ func (l *Loop) Step() bool {
 func (l *Loop) StepBefore(t Time) bool {
 	for len(l.events) > 0 {
 		ev := &l.events[0]
-		if ev.fn == nil && ev.afn == nil {
+		if !l.slots[ev.slot].live() {
 			l.popMin() // drain cancelled entries at the root
 			continue
 		}
@@ -488,7 +489,7 @@ func (l *Loop) NextEventAt() (Time, bool) { return l.peek() }
 func (l *Loop) peek() (Time, bool) {
 	for len(l.events) > 0 {
 		ev := &l.events[0]
-		if ev.fn != nil || ev.afn != nil {
+		if l.slots[ev.slot].live() {
 			return ev.at, true
 		}
 		l.popMin()

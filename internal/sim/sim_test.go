@@ -234,42 +234,168 @@ func BenchmarkLoopScheduleStep(b *testing.B) {
 	}
 }
 
-// Property: however events are scheduled (random times, nested scheduling,
-// cancellations), execution is globally ordered by timestamp with FIFO
-// ties and the clock never regresses.
+// BenchmarkLoopHeap is the heap's unit cost at the depth routed-topology
+// probes run at (-stats reports a peak of ~200 pending events): each op
+// pops the earliest event, pushes a replacement and, every other op,
+// retargets a pending timer, so the heap stays near 200 entries.
+func BenchmarkLoopHeap(b *testing.B) {
+	const depth = 200
+	l := NewLoop()
+	rng := NewRand(1, 2)
+	noop := func(any) {}
+	var timers [depth]Timer
+	for i := range timers {
+		timers[i] = l.AtArg(Time(rng.IntN(1000)), noop, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Step()
+		j := i % depth
+		timers[j] = l.AtArg(l.Now().Add(time.Duration(rng.IntN(1000))), noop, nil)
+		if i&1 == 0 {
+			k := rng.IntN(depth)
+			if timers[k].Pending() {
+				timers[k] = l.RescheduleArg(timers[k], l.Now().Add(time.Duration(rng.IntN(1000))), noop, nil)
+			}
+		}
+	}
+}
+
+// Property: however events are scheduled, cancelled, retargeted and reset
+// — At, AtArg, Stop, Reschedule, RescheduleArg and Reset interleaved with
+// stepping, and callbacks scheduling more — execution follows a reference
+// model that sorts live events by (at, seq), where seq counts every push
+// and retarget since the last Reset. Stop, Pending and Len agree with the
+// model too.
 func TestQuickEventOrderingProperty(t *testing.T) {
+	type pending struct {
+		at  Time
+		seq uint64
+		id  int
+	}
 	for seed := uint64(0); seed < 30; seed++ {
 		l := NewLoop()
 		rng := NewRand(seed, 0xeee)
-		type fired struct {
-			at  Time
-			seq int
-		}
-		var log []fired
-		seq := 0
-		var schedule func(depth int)
-		schedule = func(depth int) {
-			d := time.Duration(rng.IntN(1000)) * time.Microsecond
-			mySeq := seq
-			seq++
-			tm := l.Schedule(d, func() {
-				log = append(log, fired{at: l.Now(), seq: mySeq})
-				if depth < 2 && rng.Bool(0.3) {
-					schedule(depth + 1)
+		var (
+			model  []pending // live events in the reference model
+			seq    uint64    // the model's copy of the loop's sequence counter
+			timers []Timer   // every handle handed out, by event id
+			nfired int
+		)
+		find := func(id int) int {
+			for i, p := range model {
+				if p.id == id {
+					return i
 				}
-			})
-			if rng.Bool(0.1) {
-				tm.Stop()
+			}
+			return -1
+		}
+		remove := func(id int) bool {
+			i := find(id)
+			if i < 0 {
+				return false
+			}
+			model = append(model[:i], model[i+1:]...)
+			return true
+		}
+		earliest := func() pending {
+			m := model[0]
+			for _, p := range model[1:] {
+				if p.at < m.at || (p.at == m.at && p.seq < m.seq) {
+					m = p
+				}
+			}
+			return m
+		}
+		var op func(depth int)
+		fire := func(id int, depth int) {
+			if len(model) == 0 {
+				t.Fatalf("seed %d: event %d fired with nothing pending in the model", seed, id)
+			}
+			want := earliest()
+			if want.id != id || want.at != l.Now() {
+				t.Fatalf("seed %d: fired event %d at %v, want %d at %v", seed, id, l.Now(), want.id, want.at)
+			}
+			remove(id)
+			nfired++
+			if depth < 2 && rng.Bool(0.3) {
+				op(depth + 1)
 			}
 		}
-		for i := 0; i < 50; i++ {
-			schedule(0)
+		callbacks := func(id, depth int) (func(), func(any)) {
+			fn := func() { fire(id, depth) }
+			afn := func(arg any) { fire(*arg.(*int), depth) }
+			return fn, afn
+		}
+		add := func(at Time) int {
+			if at < l.Now() {
+				at = l.Now()
+			}
+			id := len(timers)
+			model = append(model, pending{at: at, seq: seq, id: id})
+			seq++
+			return id
+		}
+		op = func(depth int) {
+			at := l.Now().Add(time.Duration(rng.IntN(20)-2) * time.Microsecond) // ties and past times
+			switch k := rng.IntN(10); {
+			case k < 3: // At
+				id := add(at)
+				fn, _ := callbacks(id, depth)
+				timers = append(timers, l.At(at, fn))
+			case k < 5: // AtArg
+				id := add(at)
+				_, afn := callbacks(id, depth)
+				arg := id
+				timers = append(timers, l.AtArg(at, afn, &arg))
+			case k < 7 && len(timers) > 0: // Stop a random handle, stale or live
+				victim := rng.IntN(len(timers))
+				if got, want := timers[victim].Stop(), remove(victim); got != want {
+					t.Fatalf("seed %d: Stop(%d) = %v, model says %v", seed, victim, got, want)
+				}
+			case k < 9 && len(timers) > 0: // Reschedule a random handle
+				victim := rng.IntN(len(timers))
+				remove(victim)
+				id := add(at)
+				fn, afn := callbacks(id, depth)
+				if rng.Bool(0.5) {
+					timers = append(timers, l.Reschedule(timers[victim], at, fn))
+				} else {
+					arg := id
+					timers = append(timers, l.RescheduleArg(timers[victim], at, afn, &arg))
+				}
+				if timers[victim].Pending() {
+					t.Fatalf("seed %d: handle %d still pending after Reschedule", seed, victim)
+				}
+			case depth == 0 && rng.Bool(0.05): // Reset
+				l.Reset()
+				model, seq = model[:0], 0
+			}
+		}
+		for round := 0; round < 400; round++ {
+			op(0)
+			if rng.Bool(0.4) {
+				l.Step()
+			}
+			if rng.Bool(0.1) {
+				l.RunFor(time.Duration(rng.IntN(10)) * time.Microsecond)
+			}
+			if l.Len() != len(model) {
+				t.Fatalf("seed %d round %d: Len = %d, model holds %d", seed, round, l.Len(), len(model))
+			}
+			for id, tm := range timers {
+				if got, want := tm.Pending(), find(id) >= 0; got != want {
+					t.Fatalf("seed %d round %d: Pending(%d) = %v, model says %v", seed, round, id, got, want)
+				}
+			}
 		}
 		l.RunUntilIdle(0)
-		for i := 1; i < len(log); i++ {
-			if log[i].at < log[i-1].at {
-				t.Fatalf("seed %d: clock regressed: %v after %v", seed, log[i].at, log[i-1].at)
-			}
+		if len(model) != 0 {
+			t.Fatalf("seed %d: %d model events never fired", seed, len(model))
+		}
+		if nfired == 0 {
+			t.Fatalf("seed %d: nothing fired", seed)
 		}
 	}
 }

@@ -141,17 +141,16 @@ type Sender struct {
 	rtoTimer   sim.Timer
 	rtoBackoff time.Duration
 
-	// Per-connection scratch: decoded-packet cell, payload buffer, cached
-	// RTO callback and optional arena, so steady-state transmission and
-	// receive do not allocate per segment.
-	arena      *netem.Arena
-	rxPkt      packet.Packet
-	payloadBuf []byte
-	rtoFn      func()
+	// Per-connection scratch: decoded-packet cell, cached RTO callback and
+	// optional arena, so steady-state transmission and receive do not
+	// allocate per segment.
+	arena *netem.Arena
+	rxPkt packet.Packet
+	rtoFn func()
 
 	// Spurious-retransmit detection state.
 	minRTT       time.Duration
-	sendTimes    map[uint32]sim.Time // first-transmission time per segment seq
+	sendTimes    []sendTime // first transmissions not yet acked, in seq order
 	lastRexmitAt sim.Time
 	lastRexmit   uint32
 	rexmitLive   bool
@@ -162,6 +161,12 @@ type Sender struct {
 	onDone   func()
 }
 
+// sendTime records when the segment starting at seq was first sent.
+type sendTime struct {
+	seq uint32
+	at  sim.Time
+}
+
 // New builds a sender from local to remote:port, transmitting via out.
 func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameIDs, rng *sim.Rand, out netem.Node) *Sender {
 	cfg = cfg.Defaults()
@@ -170,15 +175,14 @@ func New(loop *sim.Loop, cfg Config, local, remote netip.Addr, ids *netem.FrameI
 		lport: 41000, out: out, ids: ids, rng: rng,
 		dupThresh: cfg.DupThresh,
 		minRTT:    time.Hour, // until measured
-		sendTimes: make(map[uint32]sim.Time),
 	}
 	s.rtoFn = s.onRTO
 	return s
 }
 
 // Reset returns the sender to the state New(loop, cfg, local, remote, ids,
-// rng, out) would produce, reusing the struct's scratch buffers, send-times
-// map and cached RTO callback — the pooling hook scenario owners use to
+// rng, out) would produce, reusing the struct's send-times slice and
+// cached RTO callback — the pooling hook scenario owners use to
 // reuse cross-traffic senders across topology rebuilds. The caller must
 // have Reset the shared loop first (which invalidates any pending RTO
 // timer; the zero Timer left here is inert) and is expected to re-point the
@@ -195,7 +199,7 @@ func (s *Sender) Reset(cfg Config, local, remote netip.Addr, rng *sim.Rand, out 
 	s.rtoTimer = sim.Timer{}
 	s.rtoBackoff = 0
 	s.minRTT = time.Hour
-	clear(s.sendTimes)
+	s.sendTimes = s.sendTimes[:0]
 	s.lastRexmitAt, s.lastRexmit, s.rexmitLive = 0, 0, false
 	s.started, s.finished = 0, 0
 	s.stats = Stats{}
@@ -327,17 +331,18 @@ func (s *Sender) newAck(ack uint32) {
 	acked := int(ack - s.sndUna)
 
 	// RTT sample from a first-transmission segment (Karn's rule: skip
-	// anything retransmitted).
-	if t0, ok := s.sendTimes[s.sndUna]; ok {
+	// anything retransmitted). Every entry below sndUna was dropped by an
+	// earlier ACK, so the segment at sndUna, if recorded, is the first.
+	if len(s.sendTimes) > 0 && s.sendTimes[0].seq == s.sndUna {
 		if !s.rexmitLive || packet.SeqLT(s.sndUna, s.lastRexmit) {
-			s.observeRTT(s.loop.Now().Sub(t0))
+			s.observeRTT(s.loop.Now().Sub(s.sendTimes[0].at))
 		}
 	}
-	for seq := range s.sendTimes {
-		if packet.SeqLT(seq, ack) {
-			delete(s.sendTimes, seq)
-		}
+	n := 0
+	for n < len(s.sendTimes) && packet.SeqLT(s.sendTimes[n].seq, ack) {
+		n++
 	}
+	s.sendTimes = s.sendTimes[:copy(s.sendTimes, s.sendTimes[n:])]
 
 	// Spurious fast-retransmit detection: the ACK covering the
 	// retransmitted segment arrived sooner after the retransmission than
@@ -457,7 +462,7 @@ func (s *Sender) trySend() {
 		if rem := s.end - s.sndNxt; rem < n {
 			n = rem
 		}
-		s.sendTimes[s.sndNxt] = s.loop.Now()
+		s.sendTimes = append(s.sendTimes, sendTime{seq: s.sndNxt, at: s.loop.Now()})
 		s.sendData(s.sndNxt, n)
 		s.sndNxt += n
 	}
@@ -469,15 +474,11 @@ func (s *Sender) trySend() {
 // sendData transmits payload bytes [seq, seq+n). Content avoids '\n' so
 // the receiving stack's request-triggered application stays dormant.
 func (s *Sender) sendData(seq, n uint32) {
-	if cap(s.payloadBuf) < int(n) {
-		s.payloadBuf = make([]byte, n)
-	}
-	payload := s.payloadBuf[:n]
-	for i := range payload {
-		payload[i] = 'a' + byte((seq+uint32(i))%25)
-	}
-	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, payload, nil)
+	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, pattern.At(seq, n), nil)
 }
+
+// pattern is the sender's content: 'a'+seq%25, so it never holds '\n'.
+var pattern = packet.NewSeqPattern('a', 25)
 
 func (s *Sender) transmit(flags uint8, seq, ack uint32, payload []byte, opts []packet.TCPOption) {
 	hdr := &packet.TCPHeader{

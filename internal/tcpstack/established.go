@@ -1,6 +1,7 @@
 package tcpstack
 
 import (
+	"bytes"
 	"net/netip"
 
 	"reorder/internal/packet"
@@ -78,11 +79,8 @@ func (s *Stack) processData(c *conn, p *packet.Packet) {
 		// In-order (seq <= rcvNxt < end): advance and merge the OOO queue.
 		c.rcvNxt = end
 		filled := s.mergeOOO(c)
-		for _, b := range p.Payload {
-			if b == '\n' {
-				c.reqNewline = true
-				break
-			}
+		if !c.reqNewline {
+			c.reqNewline = bytes.IndexByte(p.Payload, '\n') >= 0
 		}
 		s.appDeliver(c)
 		if filled {
@@ -291,24 +289,19 @@ func (s *Stack) retransmit(c *conn) {
 	c.rtxTimer = s.loop.RescheduleArg(c.rtxTimer, s.loop.Now().Add(s.cfg.RTO), s.rtxFn, c)
 }
 
-// sendData transmits object bytes [seq, seq+n). Payload content is a
-// deterministic function of sequence position so traces can verify
-// integrity.
+// object is the served content: byte seq%251 at each sequence position, so
+// traces can verify integrity.
+var object = packet.NewSeqPattern(0, 251)
+
+// sendData transmits object bytes [seq, seq+n).
 func (s *Stack) sendData(c *conn, seq, n uint32) {
-	if cap(s.payloadBuf) < int(n) {
-		s.payloadBuf = make([]byte, n)
-	}
-	payload := s.payloadBuf[:n]
-	for i := range payload {
-		payload[i] = byte((seq + uint32(i)) % 251)
-	}
 	s.stats.DataSegsSent++
 	hdr := s.outHdr()
 	hdr.SrcPort, hdr.DstPort = c.lport, c.pport
 	hdr.Seq, hdr.Ack = seq, c.rcvNxt
 	hdr.Flags = packet.FlagACK | packet.FlagPSH
 	hdr.Window = s.cfg.Window
-	s.transmit(c.peer, hdr, payload)
+	s.transmit(c.peer, hdr, object.At(seq, n))
 }
 
 // transmit emits one datagram, stamping the IPID. The header and payload
