@@ -65,8 +65,13 @@ type SeqPattern struct {
 // (1..256).
 func NewSeqPattern(base byte, period int) *SeqPattern {
 	p := &SeqPattern{base: base, period: uint32(period), buf: make([]byte, period+0xffff)}
-	for k := range p.buf {
-		p.buf[k] = base + byte(k%period)
+	for k := range p.buf[:period] {
+		p.buf[k] = base + byte(k)
+	}
+	// Doubling copies of whole periods: patterns are built at package
+	// init, so this is process start-up time.
+	for n := period; n < len(p.buf); n *= 2 {
+		copy(p.buf[n:], p.buf[:n])
 	}
 	return p
 }
