@@ -17,6 +17,7 @@ package tcpsender
 
 import (
 	"net/netip"
+	"sync"
 	"time"
 
 	"reorder/internal/netem"
@@ -474,11 +475,13 @@ func (s *Sender) trySend() {
 // sendData transmits payload bytes [seq, seq+n). Content avoids '\n' so
 // the receiving stack's request-triggered application stays dormant.
 func (s *Sender) sendData(seq, n uint32) {
-	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, pattern.At(seq, n), nil)
+	s.transmit(packet.FlagACK|packet.FlagPSH, seq, s.rcvNxt, pattern().At(seq, n), nil)
 }
 
 // pattern is the sender's content: 'a'+seq%25, so it never holds '\n'.
-var pattern = packet.NewSeqPattern('a', 25)
+// It is built on first use, not at package init, to keep it out of the
+// start-up time of every binary that links the package.
+var pattern = sync.OnceValue(func() *packet.SeqPattern { return packet.NewSeqPattern('a', 25) })
 
 func (s *Sender) transmit(flags uint8, seq, ack uint32, payload []byte, opts []packet.TCPOption) {
 	hdr := &packet.TCPHeader{

@@ -3,6 +3,7 @@ package tcpstack
 import (
 	"bytes"
 	"net/netip"
+	"sync"
 
 	"reorder/internal/packet"
 )
@@ -290,8 +291,9 @@ func (s *Stack) retransmit(c *conn) {
 }
 
 // object is the served content: byte seq%251 at each sequence position, so
-// traces can verify integrity.
-var object = packet.NewSeqPattern(0, 251)
+// traces can verify integrity. Built on first use to stay out of process
+// start-up.
+var object = sync.OnceValue(func() *packet.SeqPattern { return packet.NewSeqPattern(0, 251) })
 
 // sendData transmits object bytes [seq, seq+n).
 func (s *Stack) sendData(c *conn, seq, n uint32) {
@@ -301,7 +303,7 @@ func (s *Stack) sendData(c *conn, seq, n uint32) {
 	hdr.Seq, hdr.Ack = seq, c.rcvNxt
 	hdr.Flags = packet.FlagACK | packet.FlagPSH
 	hdr.Window = s.cfg.Window
-	s.transmit(c.peer, hdr, object.At(seq, n))
+	s.transmit(c.peer, hdr, object().At(seq, n))
 }
 
 // transmit emits one datagram, stamping the IPID. The header and payload
